@@ -34,6 +34,8 @@ struct CfgBlock {
   /// Opcode ending the block; kNop when the block ends only because the
   /// next instruction is a leader (straight-line split, pure fallthrough).
   isa::Op term = isa::Op::kNop;
+
+  bool operator==(const CfgBlock&) const = default;
 };
 
 struct StaticCfg {
@@ -57,6 +59,8 @@ struct StaticCfg {
   const CfgBlock* block_at(uint64_t off) const;
   /// The block whose [offset, offset+size) covers `off`, or nullptr.
   const CfgBlock* block_containing(uint64_t off) const;
+
+  bool operator==(const StaticCfg&) const = default;
 };
 
 /// Recovers the CFG of `bin`'s .text (+ .plt) from its function symbols.
@@ -82,6 +86,8 @@ struct FuncCfg {
   uint64_t entry = 0;
   std::set<uint64_t> blocks;
   std::map<uint64_t, std::vector<uint64_t>> succs;
+
+  bool operator==(const FuncCfg&) const = default;
 };
 
 /// Partitions `cfg` into per-function subgraphs keyed by function entry,

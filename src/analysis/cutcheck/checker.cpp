@@ -52,13 +52,19 @@ bool emit_diag(CheckReport& report, const CheckOptions& opts,
 
 /// Everything the rules share, derived once per plan.
 struct Ctx {
-  Ctx(const CutPlan& p, const melf::Binary& b, const CheckOptions& o)
-      : plan(p), bin(b), opts(o) {}
+  Ctx(const CutPlan& p, const CheckOptions& o)
+      : plan(p),
+        bin(*p.binary),
+        opts(o),
+        model(slicer::model_for(p.binary)),
+        cfg(model->cfg) {}
 
   const CutPlan& plan;
   const melf::Binary& bin;
   const CheckOptions& opts;
-  StaticCfg cfg;
+  /// The binary's shared analysis; `cfg` is its CFG.
+  const std::shared_ptr<const slicer::SliceModel> model;
+  const StaticCfg& cfg;
   std::vector<std::pair<uint64_t, uint64_t>> ranges;  // (offset, size)
   std::set<uint64_t> range_starts;
   ByteSet range_bytes;  ///< exactly the bytes the plan names
@@ -261,16 +267,17 @@ void check_redirect(Ctx& c) {
 
 // --- CC004: reachability amplification ----------------------------------
 
-void check_reach_amp(Ctx& c) {
-  auto funcs = split_functions(c.cfg, c.bin);
-  for (const auto& [entry, f] : funcs) {
+void check_reach_amp(Ctx& c, const slicer::SliceModel& m) {
+  for (const auto& [entry, f] : m.funcs) {
     std::set<uint64_t> cut;
     for (uint64_t b : f.blocks) {
       if (c.dead.contains(b)) cut.insert(b);
     }
     if (cut.empty()) continue;
 
-    auto idom = dominator_tree(f);
+    // Block offsets are module-unique, so the merged map answers for f's
+    // blocks exactly as f's own dominator tree.
+    const auto& idom = m.deps.idom;
     size_t amplified = 0;
     uint64_t example = 0, example_dom = 0;
     for (uint64_t b : f.blocks) {
@@ -304,7 +311,7 @@ void check_reach_amp(Ctx& c) {
 
   // Call-graph amplification: a function all of whose direct call sites are
   // removed cannot be reached any more (modulo indirect calls).
-  for (const auto& [entry, sites] : call_sites(c.cfg, c.bin)) {
+  for (const auto& [entry, sites] : m.direct_calls) {
     if (sites.empty() || c.dead.contains(entry)) continue;
     bool all_cut = std::all_of(sites.begin(), sites.end(), [&](uint64_t s) {
       return c.dead.contains(s);
@@ -410,24 +417,31 @@ void check_page_safety(Ctx& c) {
 
 // --- CC006: gadget delta ------------------------------------------------
 
-void check_gadget_delta(Ctx& c, const CheckOptions& opts) {
-  if (!opts.gadget_delta) return;
+/// How far before a changed byte a gadget start can lie and still read it:
+/// kGadgetMaxInstrs instructions of at most kMaxInstrLength bytes each.
+constexpr uint64_t kGadgetReach =
+    kGadgetMaxInstrs * isa::kMaxInstrLength - 1;
 
-  // Rebuild the module's executable memory in a scratch address space and
-  // apply the plan the way the rewriter would.
-  vm::AddressSpace mem;
+void check_gadget_delta(Ctx& c, const slicer::SliceModel& m) {
+  if (!c.opts.gadget_delta) return;
+
   std::vector<std::pair<uint64_t, uint64_t>> extents;  // code byte ranges
   for (const auto& sec : c.bin.sections) {
-    if (!is_exec_kind(sec.kind) || sec.bytes.empty()) continue;
-    uint64_t start = kAppBase + sec.offset;
-    mem.map(start, page_ceil(sec.bytes.size()), kProtRead | kProtExec,
-            c.plan.module + ":" + melf::section_name(sec.kind));
-    mem.poke_bytes(start, sec.bytes);
-    extents.emplace_back(sec.offset, sec.offset + sec.bytes.size());
+    if (is_exec_kind(sec.kind) && !sec.bytes.empty()) {
+      extents.emplace_back(sec.offset, sec.offset + sec.bytes.size());
+    }
   }
   if (extents.empty()) return;
 
-  GadgetStats before = scan_gadgets(mem, opts.gadget_max_instrs);
+  // Apply the plan to a scratch copy of the module's code the way the
+  // rewriter would. Only starts within kGadgetReach before a changed byte
+  // can change, so rescanning those windows against the cached pristine
+  // starts gives exactly what two whole-module scans would.
+  vm::AddressSpace mem = code_space(c.bin);
+  ByteSet windows;  // module-relative
+  auto changed = [&](uint64_t lo, uint64_t hi) {
+    windows.add(lo - std::min(lo, kGadgetReach), hi);
+  };
 
   // Clamped trap fill: plans may (legitimately, with a CC001 warning) name
   // ranges past the recovered code; the rewriter would fault the guest, the
@@ -440,6 +454,7 @@ void check_gadget_delta(Ctx& c, const CheckOptions& opts) {
       std::vector<uint8_t> trap(hi - lo,
                                 static_cast<uint8_t>(isa::Op::kTrap));
       mem.poke_bytes(kAppBase + lo, trap);
+      changed(lo, hi);
     }
   };
 
@@ -457,19 +472,28 @@ void check_gadget_delta(Ctx& c, const CheckOptions& opts) {
         const vm::Vma* v = mem.vma_at(addr);
         if (v != nullptr && v->contains(addr + kPageSize - 1)) {
           mem.unmap(addr, kPageSize);
+          changed(page, page + kPageSize);
         }
       }
       break;
   }
 
-  GadgetStats after = scan_gadgets(mem, opts.gadget_max_instrs);
-  int64_t delta = static_cast<int64_t>(after.gadget_starts) -
-                  static_cast<int64_t>(before.gadget_starts);
+  const std::vector<uint64_t>& base = m.gadget_starts;
+  int64_t delta = 0;
+  for (const auto& [lo, hi] : windows.intervals()) {
+    auto first = std::lower_bound(base.begin(), base.end(), lo);
+    auto last = std::lower_bound(first, base.end(), hi);
+    delta += static_cast<int64_t>(
+                 scan_gadgets(mem, kAppBase + lo, kAppBase + hi)
+                     .gadget_starts) -
+             (last - first);
+  }
   c.report.gadget_delta = delta;
 
+  const int64_t before = static_cast<int64_t>(base.size());
   uint64_t anchor = c.ranges.empty() ? 0 : c.ranges.front().first;
-  std::string counts = std::to_string(before.gadget_starts) + " -> " +
-                       std::to_string(after.gadget_starts);
+  std::string counts =
+      std::to_string(before) + " -> " + std::to_string(before + delta);
   if (delta > 0) {
     c.add(kRuleGadget, Severity::kWarning, anchor,
           "the cut adds " + std::to_string(delta) +
@@ -916,6 +940,19 @@ void check_stub_reachability(Ctx& c, const slicer::SliceModel& m,
               "(the block's first byte denies it before the call decodes)",
           "");
   }
+
+  // Derived entries are the wholly-cut functions; with none, the stub
+  // mechanism silently degrades to int3 denial for the whole module.
+  if (c.plan.stub_entries.empty() && sp.entries.empty() &&
+      sp.trap_only.empty() && !c.ranges.empty()) {
+    c.add(kRuleStubReachability, Severity::kNote, c.ranges.front().first,
+          std::string("mechanism=") + mechanism_name(c.plan.mechanism) +
+              " stubs nothing in module '" + c.plan.module +
+              "': no function is wholly cut, so every cut block keeps int3 "
+              "denial",
+          "expand the plan to the slice (CutRequest.expand_to_slice) so "
+          "whole functions join the cut");
+  }
 }
 
 // --- CC014: stub patch reversibility ------------------------------------
@@ -984,8 +1021,7 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
     return r;
   }
 
-  Ctx c{plan, *plan.binary, opts};
-  c.cfg = recover_cfg(c.bin);
+  Ctx c{plan, opts};
   c.ranges = plan.ranges();
   for (const auto& [off, size] : c.ranges) {
     c.range_starts.insert(off);
@@ -1008,16 +1044,13 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
       break;
   }
 
+  const slicer::SliceModel& model = *c.model;
   check_boundary(c);
   check_stray_edges(c);
   check_redirect(c);
-  check_reach_amp(c);
+  check_reach_amp(c, model);
   check_page_safety(c);
-  check_gadget_delta(c, opts);
-
-  // The slicer-backed rules share one model (dataflow fixpoint, dominators,
-  // indirect-site classification); reuse the CFG recovered above.
-  slicer::SliceModel model = slicer::analyze(c.bin, c.cfg);
+  check_gadget_delta(c, model);
   check_indirect(c, model);
   check_partial_slice(c, model);
   check_data_reach(c);

@@ -31,7 +31,8 @@
 //   CC013-stub-reachability  (Mechanism::kStub/kAuto) every stubbed entry is
 //                          a wholly-cut function entry, pointer-reachable
 //                          entries keep the int3 net, redirect-mode stubs
-//                          land at a matching stack depth
+//                          land at a matching stack depth; a plan that
+//                          stubs nothing gets a note
 //   CC014-stub-reversibility (Mechanism::kStub/kAuto) stub patches must not
 //                          overlap removal-rewritten bytes — overlapping
 //                          edits have order-dependent pre-images, so a
@@ -68,10 +69,10 @@ inline constexpr char kRuleStubReversibility[] = "CC014-stub-reversibility";
 
 struct CheckOptions {
   /// Simulate the rewrite and diff gadget-start counts (CC006). The
-  /// simulation maps every executable section into a scratch address space;
-  /// disable for very hot paths.
+  /// simulation maps every executable section into a scratch address space
+  /// and rescans the windows around the changed bytes; disable for very hot
+  /// paths.
   bool gadget_delta = true;
-  int gadget_max_instrs = 5;  ///< scan_gadgets window
 
   /// Rules (exact IDs, e.g. "CC007-indirect-escape") whose findings are
   /// dropped entirely — per-fleet opt-outs while a rule is being tuned.

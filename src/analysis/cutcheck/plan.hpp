@@ -98,6 +98,8 @@ class ByteSet {
   std::vector<std::pair<uint64_t, uint64_t>> gaps(uint64_t begin,
                                                   uint64_t end) const;
   bool empty() const { return iv_.empty(); }
+  /// The disjoint intervals, begin -> end, ascending.
+  const std::map<uint64_t, uint64_t>& intervals() const { return iv_; }
 
  private:
   std::map<uint64_t, uint64_t> iv_;  ///< begin -> end, disjoint, sorted

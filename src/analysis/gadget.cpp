@@ -1,5 +1,6 @@
 #include "analysis/gadget.hpp"
 
+#include "common/constants.hpp"
 #include "isa/isa.hpp"
 #include <algorithm>
 #include <cstdint>
@@ -49,6 +50,33 @@ GadgetStats scan_gadgets(const vm::AddressSpace& mem, uint64_t lo,
     }
   }
   return stats;
+}
+
+vm::AddressSpace code_space(const melf::Binary& bin) {
+  vm::AddressSpace mem;
+  for (const auto& sec : bin.sections) {
+    if ((melf::section_prot(sec.kind) & kProtExec) == 0 || sec.bytes.empty()) {
+      continue;
+    }
+    uint64_t start = kAppBase + sec.offset;
+    mem.map(start, page_ceil(sec.bytes.size()), kProtRead | kProtExec,
+            bin.name + ":" + melf::section_name(sec.kind));
+    mem.poke_bytes(start, sec.bytes);
+  }
+  return mem;
+}
+
+std::vector<uint64_t> pristine_gadget_starts(const melf::Binary& bin) {
+  const vm::AddressSpace mem = code_space(bin);
+  std::vector<uint64_t> out;
+  for (const auto& [start, vma] : mem.vmas()) {
+    for (uint64_t addr = vma.start; addr < vma.end; ++addr) {
+      if (gadget_at(mem, addr, kGadgetMaxInstrs)) {
+        out.push_back(addr - kAppBase);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace dynacut::analysis

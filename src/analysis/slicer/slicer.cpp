@@ -1,7 +1,10 @@
 #include "analysis/slicer/slicer.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
+#include "analysis/gadget.hpp"
+#include "common/error.hpp"
 #include "common/hex.hpp"
 
 namespace dynacut::analysis::slicer {
@@ -69,13 +72,9 @@ const char* witness_kind_name(Witness::Kind k) {
 }
 
 SliceModel analyze(const melf::Binary& bin) {
-  return analyze(bin, recover_cfg(bin));
-}
-
-SliceModel analyze(const melf::Binary& bin, StaticCfg cfg) {
   SliceModel m;
   m.bin = &bin;
-  m.cfg = std::move(cfg);
+  m.cfg = recover_cfg(bin);
   m.mdf = analyze_module(bin, m.cfg);
   m.funcs = split_functions(m.cfg, bin);
 
@@ -142,7 +141,8 @@ SliceModel analyze(const melf::Binary& bin, StaticCfg cfg) {
   // Caller map: the direct call graph plus resolved indirect transfers into
   // function entries. Resolved targets that are NOT entries pin their
   // function (the CFG is missing edges inside it).
-  m.deps.callers = call_sites(m.cfg, bin);
+  m.direct_calls = call_sites(m.cfg, bin);
+  m.deps.callers = m.direct_calls;
   for (const auto& site : m.indirect) {
     for (uint64_t t : site.targets) {
       const melf::Symbol* to = bin.symbol_containing(t);
@@ -167,6 +167,46 @@ SliceModel analyze(const melf::Binary& bin, StaticCfg cfg) {
   }
   return m;
 }
+
+namespace {
+
+struct ModelMemo {
+  struct Entry {
+    std::weak_ptr<const melf::Binary> bin;
+    std::shared_ptr<const SliceModel> model;
+  };
+  std::unordered_map<const melf::Binary*, Entry> entries;
+  ModelMemoStats stats;
+};
+
+ModelMemo& model_memo() {
+  static ModelMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+std::shared_ptr<const SliceModel> model_for(
+    const std::shared_ptr<const melf::Binary>& bin) {
+  DYNACUT_ASSERT(bin != nullptr);
+  ModelMemo& memo = model_memo();
+  ++memo.stats.lookups;
+  // A live weak reference means the keyed address still holds the binary
+  // the entry was built from; an expired one means it may hold a new one.
+  auto it = memo.entries.find(bin.get());
+  if (it != memo.entries.end() && !it->second.bin.expired()) {
+    return it->second.model;
+  }
+  std::erase_if(memo.entries,
+                [](const auto& e) { return e.second.bin.expired(); });
+  auto model = std::make_shared<SliceModel>(analyze(*bin));
+  model->gadget_starts = pristine_gadget_starts(*bin);
+  ++memo.stats.analyses;
+  memo.entries[bin.get()] = {bin, model};
+  return model;
+}
+
+ModelMemoStats model_memo_stats() { return model_memo().stats; }
 
 FeatureSlice feature_slice(const SliceModel& m, const std::set<uint64_t>& seeds,
                            const SliceOptions& opts) {
@@ -249,10 +289,13 @@ FeatureSlice feature_slice(const SliceModel& m, const std::set<uint64_t>& seeds,
         return out.blocks.count(s) != 0;
       });
       if (!all_cut) continue;
+      // Built by appending: GCC 12 flags `"'" + std::string` with a
+      // -Wrestrict false positive.
+      std::string why = "'";
+      why += fn_name(entry);
+      why += "' is only reached from removed call sites";
       for (uint64_t b : f.blocks) {
-        changed |= include(b, Witness::Kind::kCallClosure, entry,
-                           "'" + fn_name(entry) +
-                               "' is only reached from removed call sites");
+        changed |= include(b, Witness::Kind::kCallClosure, entry, why);
       }
     }
   }
@@ -265,7 +308,8 @@ PlanExpansion expand_plan(cutcheck::CutPlan& plan, const SliceOptions& opts) {
   stats.slice_blocks = plan.blocks.size();
   if (plan.binary == nullptr || plan.blocks.empty()) return stats;
 
-  SliceModel m = analyze(*plan.binary);
+  const std::shared_ptr<const SliceModel> model = model_for(plan.binary);
+  const SliceModel& m = *model;
   SliceOptions eff = opts;
   if (plan.has_redirect) {
     // The error stub must survive the cut it serves.

@@ -52,6 +52,8 @@ struct IndirectSite {
   Kind kind = Kind::kUnresolved;
   std::string import_name;        ///< kPltImport only
   std::vector<uint64_t> targets;  ///< module-relative, sorted (kTable/kDirect)
+
+  bool operator==(const IndirectSite&) const = default;
 };
 
 /// The module's dependence structure, block- and function-indexed.
@@ -78,6 +80,12 @@ struct SliceModel {
   std::map<uint64_t, FuncDataflow> fdf;  ///< keyed like `funcs`
   std::vector<IndirectSite> indirect;    ///< sorted by block offset
   DepGraph deps;
+  /// The direct call graph alone (call_sites), without the resolved
+  /// indirect transfers deps.callers adds.
+  std::map<uint64_t, std::vector<uint64_t>> direct_calls;
+  /// pristine_gadget_starts(*bin): CC006's baseline. Filled by model_for;
+  /// empty in models built by analyze().
+  std::vector<uint64_t> gadget_starts;
   /// True when every indirect site resolved (kind != kUnresolved); slice
   /// expansion refuses to grow otherwise.
   bool all_indirect_resolved = true;
@@ -91,9 +99,22 @@ struct SliceModel {
   std::optional<uint64_t> function_of(uint64_t off) const;
 };
 
+/// Analyses `bin` from scratch. The reference for model_for.
 SliceModel analyze(const melf::Binary& bin);
-/// As above but reusing an already-recovered CFG (the cutcheck path).
-SliceModel analyze(const melf::Binary& bin, StaticCfg cfg);
+
+/// The process-wide memo: the one shared model of `bin` (gadget baseline
+/// included), analysed on its first lookup. Entries are keyed by binary
+/// identity and hold only a weak reference to it, so an entry dies with
+/// its binary and a new binary at a reused address is analysed afresh.
+/// Sound because a binary is never modified once loaded. Not thread-safe.
+std::shared_ptr<const SliceModel> model_for(
+    const std::shared_ptr<const melf::Binary>& bin);
+
+struct ModelMemoStats {
+  uint64_t lookups = 0;   ///< model_for calls
+  uint64_t analyses = 0;  ///< lookups that had to analyse (misses)
+};
+ModelMemoStats model_memo_stats();
 
 /// Why a block is in the slice.
 struct Witness {

@@ -58,43 +58,33 @@ void DynaCut::annotate(obs::Event& e) {
   }
 }
 
-analysis::cutcheck::CheckReport DynaCut::run_check(
+std::vector<analysis::cutcheck::CutPlan> DynaCut::plans_for(
     const CutRequest& req) const {
-  const os::Process* proc = os_.process(root_pid_);
   std::vector<rw::ModuleRef> mods;
-  if (proc != nullptr) {
+  if (const os::Process* proc = os_.process(root_pid_)) {
     mods.reserve(proc->modules.size());
     for (const auto& m : proc->modules) mods.push_back({m.name, m.binary});
   }
-  auto plans = rw::extract_plans(mods, req.feature.name, req.feature.blocks,
-                                 req.removal, req.trap,
-                                 req.feature.redirect_module,
-                                 req.feature.redirect_offset, req.mechanism);
-  return analysis::cutcheck::check_plans(plans, req.check_options);
+  return rw::extract_plans(mods, req.feature.name, req.feature.blocks,
+                           req.removal, req.trap, req.feature.redirect_module,
+                           req.feature.redirect_offset, req.mechanism);
 }
 
 CutRequest DynaCut::expanded_request(const CutRequest& req,
                                      rw::SliceExpansion* stats) const {
   if (!req.expand_to_slice) return req;
 
-  const os::Process* proc = os_.process(root_pid_);
-  std::vector<rw::ModuleRef> mods;
-  if (proc != nullptr) {
-    mods.reserve(proc->modules.size());
-    for (const auto& m : proc->modules) mods.push_back({m.name, m.binary});
-  }
-  auto plans = rw::extract_plans(mods, req.feature.name, req.feature.blocks,
-                                 req.removal, req.trap,
-                                 req.feature.redirect_module,
-                                 req.feature.redirect_offset, req.mechanism);
+  auto plans = plans_for(req);
 
   // A module's functions imported by any other loaded module are entered
   // from outside its CFG; pin them against call closure.
   analysis::slicer::SliceOptions sopts;
-  for (const auto& m : mods) {
-    if (m.binary == nullptr) continue;
-    for (const auto& imp : m.binary->imports) {
-      sopts.keep_functions.insert(imp);
+  if (const os::Process* proc = os_.process(root_pid_)) {
+    for (const auto& m : proc->modules) {
+      if (m.binary == nullptr) continue;
+      for (const auto& imp : m.binary->imports) {
+        sopts.keep_functions.insert(imp);
+      }
     }
   }
 
@@ -114,20 +104,10 @@ CutRequest DynaCut::expanded_request(const CutRequest& req,
 DynaCut::StubPlans DynaCut::plan_stub_redirection(const CutRequest& req) const {
   StubPlans out;
   if (req.mechanism == CutMechanism::kTrap) return out;
-  const os::Process* proc = os_.process(root_pid_);
-  if (proc == nullptr) return out;
-  std::vector<rw::ModuleRef> mods;
-  mods.reserve(proc->modules.size());
-  for (const auto& m : proc->modules) mods.push_back({m.name, m.binary});
-  auto plans = rw::extract_plans(mods, req.feature.name, req.feature.blocks,
-                                 req.removal, req.trap,
-                                 req.feature.redirect_module,
-                                 req.feature.redirect_offset, req.mechanism);
-  for (const auto& plan : plans) {
+  for (const auto& plan : plans_for(req)) {
     if (plan.binary == nullptr || plan.blocks.empty()) continue;
-    analysis::slicer::SliceModel model =
-        analysis::slicer::analyze(*plan.binary);
-    analysis::slicer::StubPlan sp = analysis::slicer::plan_stubs(model, plan);
+    analysis::slicer::StubPlan sp = analysis::slicer::plan_stubs(
+        *analysis::slicer::model_for(plan.binary), plan);
     if (!sp.entries.empty()) out.emplace(plan.module, std::move(sp));
   }
   return out;
@@ -135,7 +115,8 @@ DynaCut::StubPlans DynaCut::plan_stub_redirection(const CutRequest& req) const {
 
 analysis::cutcheck::CheckReport DynaCut::preflight(
     const CutRequest& req) const {
-  auto report = run_check(expanded_request(req));
+  auto report = analysis::cutcheck::check_plans(
+      plans_for(expanded_request(req)), req.check_options);
   if (bus_ != nullptr) {
     for (const auto& d : report.diags) {
       bus_->emit(obs::Event(obs::ev::kCutcheckFinding)

@@ -326,7 +326,10 @@ class DynaCut {
   /// on kError findings.
   void preflight_or_throw(const CutRequest& req) const;
 
-  analysis::cutcheck::CheckReport run_check(const CutRequest& req) const;
+  /// `req`'s per-module cut plans over the root process's loaded modules —
+  /// what preflight, slice expansion and stub planning all work on.
+  std::vector<analysis::cutcheck::CutPlan> plans_for(
+      const CutRequest& req) const;
 
   /// Resolves CutRequest.expand_to_slice: returns the request with its
   /// feature blocks grown to the slice closure (and the flag cleared), or

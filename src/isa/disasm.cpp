@@ -9,7 +9,11 @@ namespace dynacut::isa {
 namespace {
 std::string reg_name(uint8_t r) {
   if (r == kSpReg) return "sp";
-  return "r" + std::to_string(r);
+  // Built by appending: GCC 12 flags `"r" + std::to_string(r)` with a
+  // -Wrestrict false positive.
+  std::string name = "r";
+  name += std::to_string(r);
+  return name;
 }
 }  // namespace
 

@@ -770,6 +770,29 @@ TEST(RuleStubReachabilityTest, ForcedStubOnAddressTakenEntryOnlyNotes) {
   EXPECT_TRUE(rule_mentions(r, kRuleStubReachability, "bypass the stub"));
 }
 
+TEST(RuleStubReachabilityTest, PlanWithNoWhollyCutFunctionNotesItStubsNothing) {
+  auto bin = build_stub_rule_guest();
+  // main's callsite block alone: main keeps its return block, so no
+  // function is wholly cut and plan_stubs derives no entry.
+  CutPlan p = make_plan(bin, {{"stubg", bin->find_symbol("site")->value, 5}},
+                        Removal::kBlockFirstByte, Trap::kTerminate);
+  for (Mechanism mech : {Mechanism::kStub, Mechanism::kAuto}) {
+    p.mechanism = mech;
+    auto r = check_plan(p);
+    EXPECT_TRUE(r.ok());
+    ASSERT_TRUE(rule_mentions(r, kRuleStubReachability,
+                              "stubs nothing in module 'stubg'"));
+    const Diagnostic* note = r.by_rule(kRuleStubReachability).back();
+    EXPECT_EQ(note->severity, Severity::kNote);
+    EXPECT_NE(note->fix_hint.find("expand_to_slice"), std::string::npos);
+  }
+  // Cutting feat wholly gives the stub an entry: no such note.
+  auto stubbed = check_plan(stub_plan(bin, "feat", Mechanism::kStub));
+  EXPECT_FALSE(rule_mentions(stubbed, kRuleStubReachability, "stubs nothing"));
+  p.mechanism = Mechanism::kTrap;
+  EXPECT_TRUE(check_plan(p).by_rule(kRuleStubReachability).empty());
+}
+
 /// main's entry block ends at the call terminator, so `site` sits mid-block
 /// when the block's own bytes are in the cut.
 std::shared_ptr<const Binary> build_midblock_site_guest(uint64_t* site,
