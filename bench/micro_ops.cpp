@@ -226,20 +226,14 @@ double measure_steps_per_sec(uint64_t steps, vm::DecodeCache* cache,
 
   const auto t0 = std::chrono::steady_clock::now();
   uint64_t retired = 0;
-  if (cache != nullptr || sbc != nullptr) {
-    while (retired < steps) {
-      uint64_t n = 0;
-      vm::StepResult r =
-          vm::run_block(mem, cpu, cache, sbc, steps - retired, n);
-      retired += n;
-      if (r.kind != vm::StepKind::kOk) break;  // unexpected: trap/fault
-    }
-  } else {
-    while (retired < steps) {
-      vm::StepResult r = vm::step(mem, cpu);
-      ++retired;
-      if (r.kind != vm::StepKind::kOk) break;
-    }
+  while (retired < steps) {
+    uint64_t n = 0;
+    vm::StepResult r = vm::run_block(mem, cpu, cache, sbc, steps - retired, n);
+    retired += n;
+    if (r.kind != vm::StepKind::kOk) break;  // unexpected: trap/fault
+    // Drain lifecycle events as the scheduler does: traces only chain
+    // while none are pending.
+    if (sbc != nullptr && sbc->events_pending()) sbc->take_events();
   }
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;

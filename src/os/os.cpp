@@ -514,7 +514,7 @@ void Os::run_quantum(Process& p, uint64_t budget, uint64_t& retired,
     p.at_block_start = false;
 
     // Execute through the decode cache — and, on hot paths, the superblock
-    // cache, where one call can retire a multi-block fused trace. `n`
+    // cache, where one call can retire several linked fused traces. `n`
     // counts every attempted instruction — including one that trapped or
     // faulted — matching the per-step accounting this loop used to do:
     // both engines charge per attempt, so instructions_retired is
@@ -565,7 +565,9 @@ void Os::run_quantum(Process& p, uint64_t budget, uint64_t& retired,
 
 void Os::drain_sb_events(Process& p) {
   // The vm layer queues superblock lifecycle records (it must not depend on
-  // obs); the kernel drains them onto the bus after each run_block call.
+  // obs); the kernel drains them onto the bus after each run_block call,
+  // stamped with this core's clock. Traces do not chain while records are
+  // queued, so the stamps are the same with or without chaining.
   auto events = p.sbcache.take_events();
   if (bus_ == nullptr) return;
   for (const auto& e : events) {

@@ -13,18 +13,6 @@ uint64_t AddressSpace::next_asid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-namespace {
-std::atomic<uint64_t> g_share_epoch{1};
-}  // namespace
-
-uint64_t share_epoch() {
-  return g_share_epoch.load(std::memory_order_relaxed);
-}
-
-void bump_share_epoch() {
-  g_share_epoch.fetch_add(1, std::memory_order_relaxed);
-}
-
 uint64_t AddressSpace::page_generation(uint64_t page_addr) const {
   auto it = page_gens_.find(page_floor(page_addr));
   return it == page_gens_.end() ? 0 : it->second;
@@ -55,8 +43,8 @@ void AddressSpace::bump_exec_generations(uint64_t addr, uint64_t n) {
 }
 
 MemEpoch AddressSpace::snapshot_epoch() {
-  // The write fast path stamps a page only when it (re)establishes its
-  // cache; crossing an epoch boundary must force a fresh stamp.
+  // The write fast path stamps a page only when it arms its TLB entry;
+  // crossing an epoch boundary must force a fresh stamp.
   invalidate_caches();
   return MemEpoch{asid_, epoch_++};
 }
@@ -165,15 +153,10 @@ void AddressSpace::protect(uint64_t start, uint64_t size, uint32_t prot) {
 }
 
 const Vma* AddressSpace::vma_at(uint64_t addr) const {
-  if (cached_vma_ != nullptr && cached_vma_->contains(addr)) {
-    return cached_vma_;
-  }
   auto it = vmas_.upper_bound(addr);
   if (it == vmas_.begin()) return nullptr;
   --it;
-  if (!it->second.contains(addr)) return nullptr;
-  cached_vma_ = &it->second;
-  return cached_vma_;
+  return it->second.contains(addr) ? &it->second : nullptr;
 }
 
 uint64_t AddressSpace::find_free(uint64_t size, uint64_t hint) const {
@@ -193,12 +176,10 @@ AddressSpace::Page& AddressSpace::writable_page(uint64_t page_addr) {
              .first;
   } else if (it->second.use_count() > 1) {
     // Copy-on-write: the block is visible through a checkpoint image (or a
-    // copied address space) — clone before mutating. The old raw cache
-    // pointer would now write into the shared block; drop it.
-    if (cached_page_addr_ == page_addr) {
-      cached_page_addr_ = ~0ull;
-      cached_page_ = nullptr;
-      cached_page_writable_ = false;
+    // copied address space) — clone before mutating. A TLB entry still
+    // points into the shared block; drop it.
+    if (TlbEntry& e = tlb_entry(page_addr); e.page == page_addr) {
+      e = TlbEntry{};
     }
     it->second = std::make_shared<Page>(*it->second);
   }
@@ -225,27 +206,26 @@ Access AddressSpace::check_range(uint64_t addr, uint64_t n,
   return {true, 0};
 }
 
-Access AddressSpace::read(uint64_t addr, void* out, uint64_t n,
-                          uint32_t need_prot) const {
-  // Fast path: access within the cached VMA and the cached page.
-  if (cached_vma_ != nullptr && addr >= cached_vma_->start && n > 0 &&
-      addr + n <= cached_vma_->end &&
-      (cached_vma_->prot & need_prot) == need_prot) {
-    uint64_t page = page_floor(addr);
-    if (page == page_floor(addr + n - 1)) {
-      if (page != cached_page_addr_) {
-        auto it = pages_.find(page);
-        if (it != pages_.end()) {
-          cached_page_addr_ = page;
-          cached_page_ = it->second.get();
-          cached_page_writable_ = false;  // possibly shared: read-only view
-        }
-      }
-      if (page == cached_page_addr_) {
-        std::memcpy(out, cached_page_->data() + (addr - page), n);
-        return {true, 0};
-      }
+Access AddressSpace::read_slow(uint64_t addr, void* out, uint64_t n,
+                               uint32_t need_prot) const {
+  const uint64_t page = page_floor(addr);
+  if (n > 0 && page_floor(addr + n - 1) == page) {
+    // One page, TLB miss. VMAs are page-aligned, so the VMA holding `addr`
+    // holds the whole access; a populated page fills its TLB entry.
+    const Vma* v = vma_at(addr);
+    if (v == nullptr || (v->prot & need_prot) != need_prot) {
+      return {false, addr};
     }
+    auto it = pages_.find(page);
+    if (it == pages_.end()) {
+      std::memset(out, 0, n);
+      return {true, 0};
+    }
+    TlbEntry& e = tlb_entry(page);
+    e = TlbEntry{page, it->second->data(), 0, v->prot, false};
+    tlb_filled_ = true;
+    std::memcpy(out, e.bytes + (addr - page), n);
+    return {true, 0};
   }
 
   Access a = check_range(addr, n, need_prot);
@@ -253,10 +233,10 @@ Access AddressSpace::read(uint64_t addr, void* out, uint64_t n,
   auto* dst = static_cast<uint8_t*>(out);
   uint64_t cur = addr;
   while (n > 0) {
-    uint64_t page = page_floor(cur);
-    uint64_t off = cur - page;
+    uint64_t pg = page_floor(cur);
+    uint64_t off = cur - pg;
     uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    if (const Page* p = find_page(page)) {
+    if (const Page* p = find_page(pg)) {
       std::memcpy(dst, p->data() + off, chunk);
     } else {
       std::memset(dst, 0, chunk);
@@ -268,30 +248,23 @@ Access AddressSpace::read(uint64_t addr, void* out, uint64_t n,
   return {true, 0};
 }
 
-Access AddressSpace::write(uint64_t addr, const void* src, uint64_t n,
-                           uint32_t need_prot) {
-  if (cached_vma_ != nullptr && addr >= cached_vma_->start && n > 0 &&
-      addr + n <= cached_vma_->end &&
-      (cached_vma_->prot & need_prot) == need_prot) {
-    uint64_t page = page_floor(addr);
-    if (page == page_floor(addr + n - 1)) {
-      // The raw pointer is only usable if the block is uniquely owned,
-      // already stamped this epoch, and no one shared a block behind our
-      // back since arming (share_epoch moved: BlockStore::intern may have
-      // handed this very block to a new holder); otherwise take the
-      // COW/stamp slow step once and re-arm.
-      if (page != cached_page_addr_ || !cached_page_writable_ ||
-          cached_share_epoch_ != share_epoch()) {
-        Page& p = writable_page(page);
-        cached_page_addr_ = page;
-        cached_page_ = &p;
-        cached_page_writable_ = true;
-        cached_share_epoch_ = share_epoch();
-      }
-      std::memcpy(cached_page_->data() + (addr - page), src, n);
-      if ((cached_vma_->prot & kProtExec) != 0) ++page_gens_[page];
-      return {true, 0};
+Access AddressSpace::write_slow(uint64_t addr, const void* src, uint64_t n,
+                                uint32_t need_prot) {
+  const uint64_t page = page_floor(addr);
+  if (n > 0 && page_floor(addr + n - 1) == page) {
+    // One page: take the COW/stamp step once and arm the page's entry —
+    // until the next epoch, share or VMA change, stores go straight in.
+    const Vma* v = vma_at(addr);
+    if (v == nullptr || (v->prot & need_prot) != need_prot) {
+      return {false, addr};
     }
+    Page& p = writable_page(page);
+    TlbEntry& e = tlb_entry(page);
+    e = TlbEntry{page, p.data(), share_epoch(), v->prot, true};
+    tlb_filled_ = true;
+    std::memcpy(e.bytes + (addr - page), src, n);
+    if ((v->prot & kProtExec) != 0) ++page_gens_[page];
+    return {true, 0};
   }
 
   Access a = check_range(addr, n, need_prot);
@@ -299,10 +272,10 @@ Access AddressSpace::write(uint64_t addr, const void* src, uint64_t n,
   const auto* s = static_cast<const uint8_t*>(src);
   uint64_t cur = addr;
   while (n > 0) {
-    uint64_t page = page_floor(cur);
-    uint64_t off = cur - page;
+    uint64_t pg = page_floor(cur);
+    uint64_t off = cur - pg;
     uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    std::memcpy(writable_page(page).data() + off, s, chunk);
+    std::memcpy(writable_page(pg).data() + off, s, chunk);
     s += chunk;
     cur += chunk;
     n -= chunk;
@@ -385,7 +358,9 @@ PageRef AddressSpace::page_block(uint64_t page_addr) const {
   }
   // The block is shared from here on: the write fast path must not keep
   // scribbling into it through its raw pointer.
-  if (cached_page_addr_ == page_addr) cached_page_writable_ = false;
+  if (TlbEntry& e = tlb_entry(page_addr); e.page == page_addr) {
+    e.writable = false;
+  }
   return it->second;
 }
 

@@ -13,7 +13,10 @@
 // writable_page(), which clones a shared block before touching it.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,15 +36,22 @@ using PageRef = std::shared_ptr<std::vector<uint8_t>>;
 
 /// Machine-wide share epoch. Every path that hands a block to a new holder
 /// *with the owner's involvement* (page_block, a whole-space copy) disarms
-/// that owner's write fast-path cache directly. Content-addressed dedup
+/// that owner's write fast path directly. Content-addressed dedup
 /// (image::BlockStore::intern) is the one path that shares a live block
 /// *behind its owner's back* — it cannot reach the owning space, so it
-/// bumps this epoch instead, and AddressSpace::write() re-validates its
-/// armed raw-pointer cache against it before every fast-path store. A
-/// mismatch forces one writable_page() walk, which sees the new use_count
-/// and clones (COW) before mutating.
-uint64_t share_epoch();
-void bump_share_epoch();
+/// bumps this epoch instead, and AddressSpace::write() re-validates each
+/// armed TLB entry against it before every fast-path store. A mismatch
+/// forces one writable_page() walk, which sees the new use_count and
+/// clones (COW) before mutating.
+namespace detail {
+inline std::atomic<uint64_t> g_share_epoch{1};
+}  // namespace detail
+inline uint64_t share_epoch() {
+  return detail::g_share_epoch.load(std::memory_order_relaxed);
+}
+inline void bump_share_epoch() {
+  detail::g_share_epoch.fetch_add(1, std::memory_order_relaxed);
+}
 
 /// A virtual memory area (page-aligned [start, end) range).
 struct Vma {
@@ -82,12 +92,12 @@ struct MemEpoch {
 class AddressSpace {
  public:
   AddressSpace() = default;
-  // Copies/moves must not carry cache pointers into another object's maps.
+  // Copies/moves must not carry TLB pointers into another object's pages.
   // Copies take a fresh asid (decode caches keyed to the source must not
   // trust the copy); moves keep the source's asid because the map nodes —
   // and thus any generation-slot pointers handed out — move along with it.
-  // A copy shares every page block with the source, so the source's write
-  // caches must drop their raw pointers (the blocks are no longer unique).
+  // A copy shares every page block with the source, so the source's TLB
+  // must drop its raw pointers (the blocks are no longer unique).
   AddressSpace(const AddressSpace& o)
       : vmas_(o.vmas_),
         pages_(o.pages_),
@@ -113,7 +123,9 @@ class AddressSpace {
         page_gens_(std::move(o.page_gens_)),
         page_stamps_(std::move(o.page_stamps_)),
         epoch_(o.epoch_),
-        asid_(o.asid_) {}
+        asid_(o.asid_) {
+    o.invalidate_caches();
+  }
   AddressSpace& operator=(AddressSpace&& o) noexcept {
     vmas_ = std::move(o.vmas_);
     pages_ = std::move(o.pages_);
@@ -144,8 +156,34 @@ class AddressSpace {
   uint64_t find_free(uint64_t size, uint64_t hint) const;
 
   // --- checked guest accesses (return faults, never throw) -------------
-  Access read(uint64_t addr, void* out, uint64_t n, uint32_t need_prot) const;
-  Access write(uint64_t addr, const void* src, uint64_t n, uint32_t need_prot);
+  // An access inside one page the TLB holds is a tag compare, a prot test
+  // and a memcpy; everything else takes the out-of-line walk.
+  Access read(uint64_t addr, void* out, uint64_t n, uint32_t need_prot) const {
+    const uint64_t page = page_floor(addr);
+    const TlbEntry& e = tlb_entry(page);
+    if (e.page == page && n != 0 && page_floor(addr + n - 1) == page &&
+        (e.prot & need_prot) == need_prot) {
+      std::memcpy(out, e.bytes + (addr - page), n);
+      return {true, 0};
+    }
+    return read_slow(addr, out, n, need_prot);
+  }
+  Access write(uint64_t addr, const void* src, uint64_t n,
+               uint32_t need_prot) {
+    const uint64_t page = page_floor(addr);
+    TlbEntry& e = tlb_entry(page);
+    // Only an armed entry (uniquely owned block, stamped this epoch, and
+    // no dedup since arming) takes raw stores; writes to executable pages
+    // go the slow way, which bumps the page generation.
+    if (e.page == page && e.writable && n != 0 &&
+        page_floor(addr + n - 1) == page &&
+        (e.prot & (need_prot | kProtExec)) == need_prot &&
+        e.share_epoch == share_epoch()) {
+      std::memcpy(e.bytes + (addr - page), src, n);
+      return {true, 0};
+    }
+    return write_slow(addr, src, n, need_prot);
+  }
 
   // --- host/debugger accesses (ignore protections, throw on unmapped) --
   void peek(uint64_t addr, void* out, uint64_t n) const;
@@ -241,12 +279,33 @@ class AddressSpace {
   /// mutation funnels through here.
   Page& writable_page(uint64_t page_addr);
   const Page* find_page(uint64_t page_addr) const;
-  void invalidate_caches() const {
-    cached_vma_ = nullptr;
-    cached_page_addr_ = ~0ull;
-    cached_page_ = nullptr;
-    cached_page_writable_ = false;
+
+  /// One guest TLB entry: a populated page lying wholly inside one VMA.
+  /// `writable` arms the write fast path: the block is uniquely owned AND
+  /// already dirty-stamped at the current epoch, as of `share_epoch`.
+  struct TlbEntry {
+    uint64_t page = ~0ull;  ///< tag; ~0 = empty
+    uint8_t* bytes = nullptr;
+    uint64_t share_epoch = 0;
+    uint32_t prot = 0;  ///< the VMA's protection
+    bool writable = false;
+  };
+  static constexpr size_t kTlbSize = 16;  // direct-mapped, by page number
+
+  TlbEntry& tlb_entry(uint64_t page) const {
+    return tlb_[(page / kPageSize) % kTlbSize];
   }
+  /// Drops every TLB entry. O(1) when nothing was filled since the last
+  /// drop (install_page_block calls this once per page on spawn/restore).
+  void invalidate_caches() const {
+    if (!tlb_filled_) return;
+    tlb_.fill(TlbEntry{});
+    tlb_filled_ = false;
+  }
+  Access read_slow(uint64_t addr, void* out, uint64_t n,
+                   uint32_t need_prot) const;
+  Access write_slow(uint64_t addr, const void* src, uint64_t n,
+                    uint32_t need_prot);
 
   /// Checks [addr, addr+n) lies inside VMAs with `need_prot`; returns the
   /// faulting address otherwise.
@@ -280,20 +339,16 @@ class AddressSpace {
 
   uint64_t asid_ = next_asid();
 
-  // Hot-path caches (guest execution hits the same VMA/page repeatedly).
-  // std::map nodes are pointer-stable across inserts, so these stay valid
-  // until a VMA or page is removed; every structural change invalidates.
-  // cached_page_writable_ marks that the cached block is uniquely owned
-  // AND already dirty-stamped at the current epoch — only then may the
-  // write fast path scribble through the raw pointer. Sharing a block out
-  // (page_block, whole-space copy) or advancing the epoch clears it;
-  // sharing behind this space's back (BlockStore dedup) bumps the global
-  // share_epoch(), which the fast path checks against cached_share_epoch_.
-  mutable const Vma* cached_vma_ = nullptr;
-  mutable uint64_t cached_page_addr_ = ~0ull;
-  mutable Page* cached_page_ = nullptr;
-  mutable bool cached_page_writable_ = false;
-  mutable uint64_t cached_share_epoch_ = 0;
+  // Guest TLB (guest execution alternates between stack, heap and data
+  // pages). Page blocks never move while held, so an entry stays valid
+  // until its block is replaced or its VMA changes: map/protect/unmap,
+  // epochs, installs and copies drop every entry (invalidate_caches), the
+  // COW branch of writable_page drops the cloned page's entry, and
+  // page_block disarms the shared page's entry. Sharing behind this
+  // space's back (BlockStore dedup) bumps the global share_epoch(), which
+  // every armed entry is checked against.
+  mutable std::array<TlbEntry, kTlbSize> tlb_{};
+  mutable bool tlb_filled_ = false;
 };
 
 }  // namespace dynacut::vm

@@ -315,8 +315,6 @@ size_t DecodeCache::warm(AddressSpace& mem, uint64_t start, uint64_t end) {
 // Stepping
 // ---------------------------------------------------------------------------
 
-StepResult step(AddressSpace& mem, Cpu& cpu) { return step(mem, cpu, nullptr); }
-
 StepResult step(AddressSpace& mem, Cpu& cpu, DecodeCache* cache) {
   Instr ins;
   StepResult fr = cache != nullptr ? cache->fetch(mem, cpu.ip, ins)
@@ -325,31 +323,18 @@ StepResult step(AddressSpace& mem, Cpu& cpu, DecodeCache* cache) {
   return execute(mem, cpu, ins);
 }
 
-StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
-                     uint64_t max_instr, uint64_t& retired) {
-  retired = 0;
+StepResult DecodeCache::run(AddressSpace& mem, Cpu& cpu, uint64_t max_instr,
+                            uint64_t& retired) {
+  sync(mem);
   StepResult r{};
-  if (max_instr == 0) return r;
-
-  if (cache == nullptr) {
-    while (retired < max_instr) {
-      r = step(mem, cpu);
-      ++retired;
-      if (r.kind != StepKind::kOk || r.block_end) break;
-    }
-    return r;
-  }
-
-  cache->sync(mem);
   uint64_t n = 0;     // local retired counter (flushed on every exit)
   uint64_t hits = 0;  // local stats accumulator — off the per-instr path
   bool stop = false;
   while (!stop) {
     const uint64_t page = page_floor(cpu.ip);
-    DecodeCache::PageEntry* e =
-        cpu.ip - page + isa::kMaxInstrLength <= kPageSize
-            ? cache->entry_for(mem, page)
-            : nullptr;
+    PageEntry* e = cpu.ip - page + isa::kMaxInstrLength <= kPageSize
+                       ? entry_for(mem, page)
+                       : nullptr;
     const uint64_t n_at_entry = n;
     if (e != nullptr) {
       // Straight-line fast path: stay on this page's decoded array. One
@@ -357,25 +342,25 @@ StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
       // (e.g. the verifier handler healing its own page) precise.
       const uint64_t* live_gen = e->live_gen;
       const uint64_t gen = e->gen;
-      DecodeCache::Slot* slots = e->slots.data();
+      Slot* slots = e->slots.data();
       while (n < max_instr && *live_gen == gen) {
         const uint64_t off = cpu.ip - page;
         if (off + isa::kMaxInstrLength > kPageSize) break;  // page edge
-        DecodeCache::Slot& s = slots[off];
-        if (s.state == DecodeCache::kValid) {
+        Slot& s = slots[off];
+        if (s.state == kValid) {
           ++hits;
         } else {
-          if (s.state == DecodeCache::kUnknown) {
+          if (s.state == kUnknown) {
             // Count the miss only if the fill succeeds: on a failed fill the
             // slot stays kUnknown and the no-progress fallback step() below
-            // re-enters DecodeCache::fetch, which counts that same attempt
-            // exactly once (and faults precisely).
-            if (!cache->fill_slot(mem, cpu.ip, s)) break;  // fault: slow path
-            ++cache->misses_;
+            // re-enters fetch(), which counts that same attempt exactly
+            // once (and faults precisely).
+            if (!fill_slot(mem, cpu.ip, s)) break;  // fault: slow path
+            ++misses_;
           } else {
             ++hits;  // a known-bad slot is still a cache-served fetch
           }
-          if (s.state == DecodeCache::kBad) {
+          if (s.state == kBad) {
             r = {StepKind::kFault, FaultType::kIll, cpu.ip, false};
             ++n;
             stop = true;
@@ -395,12 +380,12 @@ StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
       // Page-edge instruction, non-executable fetch, or a generation bump
       // raced the entry lookup: take the generic single-step path so the
       // loop always advances.
-      r = step(mem, cpu, cache);
+      r = step(mem, cpu, this);
       ++n;
       if (r.kind != StepKind::kOk || r.block_end || n >= max_instr) break;
     }
   }
-  cache->hits_ += hits;
+  hits_ += hits;
   retired = n;
   return r;
 }
@@ -408,11 +393,24 @@ StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
 StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
                      SuperblockCache* sbc, uint64_t max_instr,
                      uint64_t& retired) {
-  if (sbc == nullptr) return run_block(mem, cpu, cache, max_instr, retired);
-
   retired = 0;
   StepResult r{};
   if (max_instr == 0) return r;
+
+  // One interpreter round: until a terminator retires, an event surfaces
+  // or `budget` attempts were made.
+  auto interpret = [&](uint64_t budget, uint64_t& sub) {
+    if (cache != nullptr) return cache->run(mem, cpu, budget, sub);
+    StepResult s{};
+    sub = 0;
+    while (sub < budget) {
+      s = step(mem, cpu);
+      ++sub;
+      if (s.kind != StepKind::kOk || s.block_end) break;
+    }
+    return s;
+  };
+  if (sbc == nullptr) return interpret(max_instr, retired);
 
   uint64_t n = 0;
   while (n < max_instr) {
@@ -432,7 +430,7 @@ StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
       if (n >= max_instr) break;
     }
     uint64_t sub = 0;
-    r = run_block(mem, cpu, cache, max_instr - n, sub);
+    r = interpret(max_instr - n, sub);
     n += sub;
     if (r.kind != StepKind::kOk || r.block_end) {
       retired = n;

@@ -42,27 +42,27 @@ class SuperblockCache;
 /// all guest errors surface as kFault/kTrap results. With a cache, the
 /// fetch+decode is served from (and fills) the cache; without one it reads
 /// raw page bytes every time.
-StepResult step(AddressSpace& mem, Cpu& cpu);
-StepResult step(AddressSpace& mem, Cpu& cpu, DecodeCache* cache);
+StepResult step(AddressSpace& mem, Cpu& cpu, DecodeCache* cache = nullptr);
 
-/// Executes instructions until a basic-block terminator retires, a syscall/
-/// trap/fault surfaces, or `max_instr` instructions have been attempted.
+/// Executes guest instructions and returns at the first of:
+///   * an event: a syscall, trap or fault surfaced (see StepResult);
+///   * the budget: `max_instr` instructions have been attempted (kOk, ip at
+///     the first instruction not attempted);
+///   * an exit with no live linked trace: a basic-block terminator retired
+///     (kOk, block_end) and execution cannot continue inside a superblock.
 /// `retired` returns the number of attempts (faulting/trapping instructions
 /// count once, matching the per-step accounting of the OS scheduler).
-/// Straight-line spans inside one cached page run off the decoded array
-/// with a single generation check per instruction — no fetch, no decode.
-StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
-                     uint64_t max_instr, uint64_t& retired);
-
-/// Superblock-aware variant: hot entries execute as fused threaded-code
-/// traces (vm/superblock.hpp) and may retire *many* basic blocks before
-/// returning — internal direct branches re-enter the trace without
-/// surfacing. The call still returns on the first terminator that leaves
-/// every trace, on syscalls/traps/faults, and when the budget is spent;
-/// `retired` keeps the exact per-attempt accounting of the 5-arg form. A
-/// mid-trace deoptimization (page generation bump) transparently resumes
-/// on the interpreter path within the same call. `sbc == nullptr` behaves
-/// exactly like the 5-arg overload.
+///
+/// Both caches are optional. `cache` serves fetch+decode on the
+/// interpreter path: straight-line spans inside one cached page run off
+/// the decoded array with a single generation check per instruction.
+/// `sbc` runs hot entries as fused threaded-code traces
+/// (vm/superblock.hpp): internal branches re-enter the trace, and an exit
+/// whose target starts a live trace follows that trace's link without
+/// returning — so one call may retire many basic blocks. Without `sbc`
+/// every retired terminator is an exit with no live linked trace. A
+/// mid-trace deoptimization (page generation bump) resumes on the
+/// interpreter path within the same call.
 StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
                      SuperblockCache* sbc, uint64_t max_instr,
                      uint64_t& retired);
@@ -102,8 +102,6 @@ class DecodeCache {
 
  private:
   friend StepResult step(AddressSpace&, Cpu&, DecodeCache*);
-  friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*, uint64_t,
-                              uint64_t&);
   friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*,
                               SuperblockCache*, uint64_t, uint64_t&);
 
@@ -134,6 +132,11 @@ class DecodeCache {
 
   /// Cache-served fetch+decode of the instruction at `ip`.
   StepResult fetch(AddressSpace& mem, uint64_t ip, isa::Instr& out);
+
+  /// The interpreter path of run_block: executes until a terminator retires,
+  /// an event surfaces or `max_instr` attempts were made.
+  StepResult run(AddressSpace& mem, Cpu& cpu, uint64_t max_instr,
+                 uint64_t& retired);
 
   std::unordered_map<uint64_t, PageEntry> pages_;
   uint64_t asid_ = 0;  ///< address space the entries were filled from

@@ -54,6 +54,7 @@ void SuperblockCache::clear() {
   entry_points_.clear();
   blocks_.clear();
   heat_.clear();
+  ++link_epoch_;
 }
 
 void SuperblockCache::sync(const AddressSpace& mem) {
@@ -76,6 +77,7 @@ void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
       entry_points_.erase(it);
     }
   }
+  ++link_epoch_;  // links into `sb` (or anywhere) must not be followed
   ++retires_;
   push_event(SbEvent::kRetire, sb->entry_, sb->instr_count());
   if (deopt) {
@@ -174,10 +176,13 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
   if (sb->ops_.empty()) return nullptr;
 
   // Thread the ops: successors become trace indices where the target is
-  // inside the trace, kExit (with the precomputed address) where it leaves.
+  // inside the trace; every successor that leaves it gets its own link
+  // slot (the precomputed address or, for ret/callr/jmpr, the run-time
+  // one is the exit's target).
+  uint32_t exits = 0;
   auto index_or_exit = [&](uint64_t at) {
     auto f = index_of.find(at);
-    return f == index_of.end() ? Superblock::kExit : f->second;
+    return f == index_of.end() ? Superblock::exit_via(exits++) : f->second;
   };
   for (size_t i = 0; i < sb->ops_.size(); ++i) {
     Superblock::ThreadedOp& o = sb->ops_[i];
@@ -188,9 +193,12 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
     } else if (isa::is_cond_branch(o.op)) {
       o.taken = index_or_exit(o.target);
       o.next = index_or_exit(o.ip + o.length);
+    } else if (o.op == Op::kRet || o.op == Op::kCallR || o.op == Op::kJmpR) {
+      o.taken = Superblock::exit_via(exits++);
     }
-    // ret/callr/jmpr/syscall/trap: both successors stay kExit.
+    // syscall/trap: no successor, they exit as events.
   }
+  sb->links_.resize(exits);
 
   for (uint64_t page : pages) {
     sb->pages_.emplace_back(mem.page_generation_slot(page),
@@ -245,16 +253,52 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
     VX_DISPATCH();   \
   } while (0)
 
+// Chaining lives in this loop rather than inside run_trace: with a trace
+// pointer that changes mid-loop, GCC 12 merged the handlers' computed
+// gotos into a few shared dispatch sites (9 instead of 18), which undoes
+// direct threading.
 StepResult SuperblockCache::dispatch(AddressSpace& mem, Cpu& cpu,
                                      const Ref& ref, uint64_t max_instr,
                                      uint64_t& attempted, SbExit& why) {
-  Superblock* sb = ref.sb;
+  Ref at = ref;
+  uint64_t n = 0;
+  StepResult res;
+  while (true) {
+    ++entries_;
+    uint32_t slot = 0;
+    res = run_trace(mem, cpu, at, max_instr, n, why, slot);
+    if (why != SbExit::kBranch) break;
+    // A terminator retired and left the trace through link `slot`; cpu.ip
+    // is its target. Follow the link only where run_block's lookup would
+    // dispatch the same trace right now: budget remains, no lifecycle
+    // event waits to be drained (the kernel stamps them at this point on
+    // its clock), the link is current and the target's pages are
+    // unchanged. Otherwise return.
+    if (n >= max_instr || !events_.empty()) break;
+    Superblock::Link& l = at.sb->links_[slot];
+    if (l.epoch != link_epoch_ || l.ip != cpu.ip) {
+      auto it = entry_points_.find(cpu.ip);
+      if (it == entry_points_.end()) break;  // lookup counts heat
+      l = {it->second.sb, cpu.ip, link_epoch_, it->second.idx};
+    }
+    if (!l.sb->pages_valid()) break;  // lookup retires it
+    ++chained_;
+    at = {l.sb, l.idx};
+  }
+  sb_instrs_ += n;
+  attempted += n;
+  return res;
+}
+
+StepResult SuperblockCache::run_trace(AddressSpace& mem, Cpu& cpu, Ref at,
+                                      uint64_t max_instr, uint64_t& executed,
+                                      SbExit& why, uint32_t& slot) {
+  Superblock* const sb = at.sb;
   const Superblock::ThreadedOp* const code = sb->ops_.data();
   uint64_t* const r = cpu.regs.data();
-  int32_t idx = ref.idx;
-  uint64_t n = 0;
+  int32_t idx = at.idx;
+  uint64_t n = executed;
   StepResult res{};
-  ++entries_;
 
   // Exit helpers. Every path out of the handlers leaves cpu.ip at the exact
   // address the interpreter would: retired transfers land on their target,
@@ -476,11 +520,10 @@ h_branch:
     const bool taken = branch_taken(cpu, o.op);
     ++n;
     const int32_t nx = taken ? o.taken : o.next;
-    if (nx == Superblock::kExit) {
+    if (nx < 0) {
       cpu.ip = taken ? o.target : o.ip + o.length;
-      res.block_end = true;
-      why = SbExit::kBranch;
-      goto exit;
+      slot = Superblock::exit_slot(nx);
+      goto branch_exit;
     }
     idx = nx;  // branch resolved to a trace index: the loop stays hot
     VX_DISPATCH();
@@ -498,11 +541,10 @@ h_branch:
       goto exit;
     }
     ++n;
-    if (o.taken == Superblock::kExit) {
+    if (o.taken < 0) {
       cpu.ip = o.target;
-      res.block_end = true;
-      why = SbExit::kBranch;
-      goto exit;
+      slot = Superblock::exit_slot(o.taken);
+      goto branch_exit;
     }
     if (deopt_check(o.target)) goto exit;  // the ra push may hit a W+X page
     idx = o.taken;
@@ -519,9 +561,8 @@ h_branch:
     }
     ++n;
     cpu.ip = r[o.r1];
-    res.block_end = true;
-    why = SbExit::kBranch;
-    goto exit;
+    slot = Superblock::exit_slot(o.taken);
+    goto branch_exit;
   }
   VX_OP(kRet) {
     const Superblock::ThreadedOp& o = code[idx];
@@ -534,17 +575,15 @@ h_branch:
     cpu.sp() += 8;
     cpu.ip = ra;
     ++n;
-    res.block_end = true;
-    why = SbExit::kBranch;
-    goto exit;
+    slot = Superblock::exit_slot(o.taken);
+    goto branch_exit;
   }
   VX_OP(kJmpR) {
     const Superblock::ThreadedOp& o = code[idx];
     cpu.ip = r[o.r1];
     ++n;
-    res.block_end = true;
-    why = SbExit::kBranch;
-    goto exit;
+    slot = Superblock::exit_slot(o.taken);
+    goto branch_exit;
   }
   VX_OP(kPush) {
     const Superblock::ThreadedOp& o = code[idx];
@@ -606,12 +645,17 @@ h_branch:
   goto loop_top;  // unreachable: every handler ends in a jump
 #endif
 
+branch_exit:
+  // A terminator retired and left the trace through link `slot`.
+  res.block_end = true;
+  why = SbExit::kBranch;
+  goto exit;
+
 budget_exit:
   cpu.ip = code[idx].ip;
   why = SbExit::kBudget;
 exit:
-  sb_instrs_ += n;
-  attempted += n;
+  executed = n;
   return res;
 }
 

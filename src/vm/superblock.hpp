@@ -29,6 +29,18 @@
 //   * indirect transfers (ret / callr / jmpr) and syscalls end traces;
 //     unterminated block scans (BlockInfo::terminated == false) are never
 //     fused.
+//
+// Chaining: every exit of a trace owns one link slot remembering the trace
+// position its last target resolved to. An exit whose link is current
+// (same link epoch, same target ip) and whose target's pages are valid
+// continues straight into that trace — the trace-linking step of DBI code
+// caches — instead of returning to run_block for a hash lookup. A stale
+// link is refilled from the entry-point table. Every retire and clear()
+// bumps the cache's link epoch, so a link can never reach a freed trace.
+// Links are not followed while lifecycle events are pending or once the
+// budget is spent: each chained entry happens exactly where run_block's
+// lookup would have dispatched it, so heat, builds, entries() and event
+// timestamps are the same with or without links.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +58,8 @@ namespace dynacut::vm {
 /// Why a superblock dispatch returned to run_block.
 enum class SbExit : uint8_t {
   kEvent,   ///< trap/syscall/fault surfaced; see the StepResult
-  kBranch,  ///< a terminator retired with a target outside the trace
+  kBranch,  ///< a terminator retired with a target outside the trace and
+            ///< no live linked trace to continue in
   kBudget,  ///< instruction budget exhausted; cpu.ip at the next instruction
   kDeopt,   ///< a spanned page's generation bumped mid-trace; superblock
             ///< retired, caller resumes on the interpreter path
@@ -56,8 +69,16 @@ enum class SbExit : uint8_t {
 /// SuperblockCache; immutable after construction.
 class Superblock {
  public:
-  /// Index value meaning "successor is outside the trace".
-  static constexpr int32_t kExit = -1;
+  /// Successor encoding in ThreadedOp::taken/next: a value >= 0 is a trace
+  /// index; a negative value leaves the trace through link slot
+  /// exit_slot(value). kNone marks a successor the op does not have.
+  static constexpr int32_t kNone = INT32_MIN;
+  static constexpr int32_t exit_via(uint32_t slot) {
+    return -1 - static_cast<int32_t>(slot);
+  }
+  static constexpr uint32_t exit_slot(int32_t succ) {
+    return static_cast<uint32_t>(-1 - succ);
+  }
 
   /// A pre-resolved instruction: everything the dispatch loop needs, with
   /// no decode, no operand resolution and no target arithmetic at run time.
@@ -67,8 +88,8 @@ class Superblock {
     uint8_t r2 = 0;
     uint8_t length = 1;  ///< encoded size (ip advance / syscall resume)
     uint8_t hidx = 0;    ///< dense dispatch-table index (superblock.cpp)
-    int32_t taken = kExit;  ///< trace index of the taken successor
-    int32_t next = kExit;   ///< trace index of the fallthrough successor
+    int32_t taken = kNone;  ///< successor when the transfer is taken
+    int32_t next = kNone;   ///< fallthrough successor
     int64_t imm = 0;        ///< immediate / displacement / shift amount
     uint64_t ip = 0;        ///< architectural address of this instruction
     uint64_t target = 0;    ///< precomputed static transfer / lea target
@@ -90,8 +111,20 @@ class Superblock {
     return true;
   }
 
+  /// One exit's chaining slot: where its target `ip` resolved to, valid
+  /// while `epoch` equals the owning cache's link epoch.
+  struct Link {
+    Superblock* sb = nullptr;
+    uint64_t ip = 0;
+    uint64_t epoch = 0;
+    int32_t idx = 0;
+  };
+
   uint64_t entry_ = 0;
   std::vector<ThreadedOp> ops_;
+  /// One slot per exiting successor, assigned at build time (ret, callr
+  /// and jmpr exits included; syscall and trap exits are events).
+  std::vector<Link> links_;
   /// (live generation-slot pointer, generation at build time) per page the
   /// trace's instruction bytes span. Slot pointers are stable for the
   /// address space's lifetime (AddressSpace::page_generation_slot).
@@ -118,16 +151,20 @@ class SuperblockCache {
   SuperblockCache(const SuperblockCache&) = delete;
   SuperblockCache& operator=(const SuperblockCache&) = delete;
 
-  /// Drops every trace and heat counter (stats are kept). Called by
-  /// checkpoint restore; also self-triggers on an asid change.
+  /// Drops every trace and heat counter (stats are kept) and kills every
+  /// link. Called by checkpoint restore; also self-triggers on an asid
+  /// change.
   void clear();
 
   // --- stats -------------------------------------------------------------
   uint64_t builds() const { return builds_; }
   uint64_t retires() const { return retires_; }
   uint64_t deopts() const { return deopts_; }
-  /// Number of dispatch entries (trace activations).
+  /// Number of dispatch entries (trace activations), chained ones included.
   uint64_t entries() const { return entries_; }
+  /// Trace activations reached through an exit's link, without a return
+  /// to run_block.
+  uint64_t chained() const { return chained_; }
   /// Instructions retired inside superblock dispatch.
   uint64_t sb_instrs() const { return sb_instrs_; }
   size_t superblocks() const { return blocks_.size(); }
@@ -156,9 +193,10 @@ class SuperblockCache {
   /// retired here — before anything executes from it.
   Ref lookup(const AddressSpace& mem, uint64_t ip);
 
-  /// Executes the trace from `ref` until an exit (see SbExit). Appends the
-  /// number of attempted instructions to `attempted`; cpu is left at a
-  /// consistent architectural state for every exit kind.
+  /// Executes the trace from `ref` — and the live traces its exits link
+  /// to — until an exit (see SbExit). Appends the number of attempted
+  /// instructions to `attempted`; cpu is left at a consistent architectural
+  /// state for every exit kind.
   StepResult dispatch(AddressSpace& mem, Cpu& cpu, const Ref& ref,
                       uint64_t max_instr, uint64_t& attempted, SbExit& why);
 
@@ -171,8 +209,16 @@ class SuperblockCache {
   /// cache full).
   Superblock* build(const AddressSpace& mem, uint64_t entry);
 
-  /// Unregisters and frees one trace. `deopt` marks a mid-dispatch exit
-  /// (counted separately; entry-check retirements are plain retires).
+  /// Executes one trace from `at` until it exits; `slot` names the link of
+  /// a kBranch exit. `executed` counts attempted instructions across the
+  /// chained traces of one dispatch (the budget applies to the total).
+  StepResult run_trace(AddressSpace& mem, Cpu& cpu, Ref at,
+                       uint64_t max_instr, uint64_t& executed, SbExit& why,
+                       uint32_t& slot);
+
+  /// Unregisters and frees one trace and kills every link. `deopt` marks a
+  /// mid-dispatch exit (counted separately; entry-check retirements are
+  /// plain retires).
   void retire(Superblock* sb, bool deopt, uint64_t resume_ip);
 
   void push_event(SbEvent::Kind kind, uint64_t entry, uint64_t detail);
@@ -182,11 +228,14 @@ class SuperblockCache {
   std::unordered_map<uint64_t, uint32_t> heat_;
   std::vector<SbEvent> events_;
   uint64_t asid_ = 0;
+  /// Links filled at another epoch are dead. Starts above a fresh Link's 0.
+  uint64_t link_epoch_ = 1;
 
   uint64_t builds_ = 0;
   uint64_t retires_ = 0;
   uint64_t deopts_ = 0;
   uint64_t entries_ = 0;
+  uint64_t chained_ = 0;
   uint64_t sb_instrs_ = 0;
 };
 

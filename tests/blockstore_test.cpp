@@ -138,6 +138,37 @@ TEST(BlockStore, InternPageRefAlsoDisarms) {
   EXPECT_EQ(owner.peek_bytes(0x2000, 1)[0], 0x11);
 }
 
+// Every armed TLB entry checks its own share epoch: after dedup hits on two
+// armed pages, re-arming the first must not make the second look current.
+TEST(BlockStore, DedupDisarmsEveryArmedEntry) {
+  BlockStore& bs = BlockStore::global();
+  vm::AddressSpace owner;
+  owner.map(0x1000, 2 * kPageSize, kProtRead | kProtWrite, "data");
+  std::vector<uint8_t> fill_a(kPageSize, 0x6b);
+  std::vector<uint8_t> fill_b(kPageSize, 0x6c);
+  owner.poke_bytes(0x1000, fill_a);
+  owner.poke_bytes(0x2000, fill_b);
+  bs.intern(owner.page_block(0x1000));
+  bs.intern(owner.page_block(0x2000));
+  uint8_t same_a = 0x6b;
+  uint8_t same_b = 0x6c;
+  owner.poke(0x1000, &same_a, 1);  // arm both pages in place
+  owner.poke(0x2000, &same_b, 1);
+
+  bs.reset_stats();
+  vm::PageRef other_a = bs.intern_bytes(std::span<const uint8_t>(fill_a));
+  vm::PageRef other_b = bs.intern_bytes(std::span<const uint8_t>(fill_b));
+  ASSERT_EQ(bs.stats().dedup_hits, 2u);
+
+  uint8_t diff = 0x99;
+  owner.poke(0x1000, &diff, 1);  // COW, then re-armed at the new epoch
+  owner.poke(0x2000, &diff, 1);
+  EXPECT_EQ((*other_a)[0], 0x6b);
+  EXPECT_EQ((*other_b)[0], 0x6c);
+  EXPECT_EQ(owner.peek_bytes(0x1000, 1)[0], 0x99);
+  EXPECT_EQ(owner.peek_bytes(0x2000, 1)[0], 0x99);
+}
+
 // ---------------------------------------------------------------------------
 // Fleet dedup: images of different pids share resident blocks
 // ---------------------------------------------------------------------------

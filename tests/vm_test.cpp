@@ -157,6 +157,119 @@ TEST(AddressSpace, InstallAndReadPage) {
 }
 
 // ---------------------------------------------------------------------------
+// Guest TLB invalidation rules
+// ---------------------------------------------------------------------------
+
+uint8_t byte_at(const AddressSpace& as, uint64_t addr) {
+  uint8_t b = 0;
+  EXPECT_TRUE(as.read(addr, &b, 1, kProtRead).ok);
+  return b;
+}
+
+bool store_byte(AddressSpace& as, uint64_t addr, uint8_t b) {
+  return as.write(addr, &b, 1, kProtWrite).ok;
+}
+
+TEST(GuestTlb, CowOfPageHeldReadOnly) {
+  // A read caches the page; a checkpoint shares its block; a write that
+  // straddles into the next page clones it (COW) without re-arming. The
+  // cached entry must not keep serving the shared block.
+  AddressSpace as;
+  as.map(0x1000, 0x2000, kProtRead | kProtWrite, "rw");
+  std::vector<uint8_t> fill(kPageSize, 0x11);
+  as.poke_bytes(0x1000, fill);
+  PageRef snap = as.page_block(0x1000);
+  ASSERT_EQ(byte_at(as, 0x1ffe), 0x11);  // fills the entry read-only
+  const uint8_t wide[4] = {0x22, 0x22, 0x22, 0x22};
+  ASSERT_TRUE(as.write(0x1ffe, wide, sizeof wide, kProtWrite).ok);
+  EXPECT_EQ(byte_at(as, 0x1ffe), 0x22);
+  EXPECT_EQ((*snap)[0xffe], 0x11);  // the snapshot kept its bytes
+  EXPECT_NE(as.page_block(0x1000).get(), snap.get());
+}
+
+TEST(GuestTlb, PageBlockOnOneOfTwoArmedPages) {
+  AddressSpace as;
+  as.map(0x1000, 0x2000, kProtRead | kProtWrite, "rw");
+  ASSERT_TRUE(store_byte(as, 0x1000, 0xAA));  // both pages armed
+  ASSERT_TRUE(store_byte(as, 0x2000, 0xBB));
+  const uint8_t* second = as.page_bytes(0x2000).data();
+  PageRef snap = as.page_block(0x1000);
+  ASSERT_TRUE(store_byte(as, 0x1000, 0xCC));
+  ASSERT_TRUE(store_byte(as, 0x2000, 0xDD));
+  EXPECT_EQ((*snap)[0], 0xAA);  // the shared block is untouched
+  EXPECT_EQ(byte_at(as, 0x1000), 0xCC);
+  EXPECT_EQ(byte_at(as, 0x2000), 0xDD);
+  EXPECT_NE(as.page_bytes(0x1000).data(), snap->data());  // COW split
+  EXPECT_EQ(as.page_bytes(0x2000).data(), second);  // sole owner: in place
+}
+
+TEST(GuestTlb, ProtectAndUnmapOfCachedPages) {
+  AddressSpace as;
+  as.map(0x1000, 0x2000, kProtRead | kProtWrite, "rw");
+  ASSERT_TRUE(store_byte(as, 0x1000, 1));
+  ASSERT_TRUE(store_byte(as, 0x2000, 2));
+  ASSERT_EQ(byte_at(as, 0x2000), 2);
+
+  as.protect(0x1000, 0x1000, kProtRead);
+  Access w = as.write(0x1000, "x", 1, kProtWrite);
+  EXPECT_FALSE(w.ok);
+  EXPECT_EQ(w.fault_addr, 0x1000u);
+  EXPECT_EQ(byte_at(as, 0x1000), 1);
+
+  ASSERT_TRUE(store_byte(as, 0x2000, 2));  // cache and arm it again
+  as.unmap(0x2000, 0x1000);
+  uint8_t b = 0;
+  Access r = as.read(0x2000, &b, 1, kProtRead);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.fault_addr, 0x2000u);
+  EXPECT_FALSE(store_byte(as, 0x2000, 3));
+}
+
+TEST(GuestTlb, SnapshotEpochBetweenAlternatingPageWrites) {
+  // Both pages are armed when the epoch advances; the next write to each
+  // must stamp it again.
+  AddressSpace as;
+  as.map(0x1000, 0x2000, kProtRead | kProtWrite, "rw");
+  ASSERT_TRUE(store_byte(as, 0x1000, 1));
+  ASSERT_TRUE(store_byte(as, 0x2000, 2));
+  ASSERT_TRUE(store_byte(as, 0x1000, 3));
+  MemEpoch e = as.snapshot_epoch();
+  ASSERT_TRUE(store_byte(as, 0x1000, 4));
+  ASSERT_TRUE(store_byte(as, 0x2000, 5));
+  auto dirty = as.dirty_pages_since(e);
+  ASSERT_TRUE(dirty.has_value());
+  EXPECT_EQ(*dirty, (std::vector<uint64_t>{0x1000, 0x2000}));
+}
+
+TEST(GuestTlb, ZeroLengthAccessOnCachedPage) {
+  // Callers pass empty buffers (data() may be null) for zero-length I/O.
+  AddressSpace as;
+  as.map(0x1000, 0x1000, kProtRead | kProtWrite, "rw");
+  ASSERT_TRUE(store_byte(as, 0x1000, 7));  // cache and arm the page
+  EXPECT_TRUE(as.read(0x1010, nullptr, 0, kProtRead).ok);
+  EXPECT_TRUE(as.write(0x1010, nullptr, 0, kProtWrite).ok);
+  EXPECT_EQ(byte_at(as, 0x1000), 7);
+}
+
+TEST(GuestTlb, ConflictingPagesKeepTheirOwnBytes) {
+  // Pages 16 apart share a direct-mapped slot: every access evicts the
+  // other, and each must still see its own block.
+  AddressSpace as;
+  as.map(0x10000, 0x20000, kProtRead | kProtWrite, "rw");
+  for (uint64_t round = 0; round < 3; ++round) {
+    for (uint64_t i = 0; i < 32; ++i) {
+      ASSERT_TRUE(store_byte(as, 0x10000 + i * kPageSize + round,
+                             static_cast<uint8_t>(i + round)));
+    }
+  }
+  for (uint64_t i = 0; i < 32; ++i) {
+    for (uint64_t round = 0; round < 3; ++round) {
+      EXPECT_EQ(byte_at(as, 0x10000 + i * kPageSize + round), i + round);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
 
@@ -599,7 +712,7 @@ TEST(DecodeCache, GuestSelfModifyObservedMidBlock) {
   m.mem.protect(0x1000, 0x1000, kProtRead | kProtWrite | kProtExec);
   DecodeCache cache;
   uint64_t retired = 0;
-  StepResult r = run_block(m.mem, m.cpu, &cache, 10000, retired);
+  StepResult r = run_block(m.mem, m.cpu, &cache, nullptr, 10000, retired);
   EXPECT_EQ(r.kind, StepKind::kTrap);
   EXPECT_EQ(r.fault_addr, 0x1000u + victim);
   EXPECT_EQ(retired, 5u);  // movri, movri, storeb, nop, trap-attempt
@@ -617,7 +730,7 @@ TEST(DecodeCache, RunBlockStopsAtTerminatorAndBudget) {
   Machine m(code);
   DecodeCache cache;
   uint64_t retired = 0;
-  StepResult r = run_block(m.mem, m.cpu, &cache, 10000, retired);
+  StepResult r = run_block(m.mem, m.cpu, &cache, nullptr, 10000, retired);
   EXPECT_EQ(r.kind, StepKind::kOk);
   EXPECT_TRUE(r.block_end);  // stopped at the jmp terminator
   EXPECT_EQ(retired, 3u);
@@ -626,7 +739,7 @@ TEST(DecodeCache, RunBlockStopsAtTerminatorAndBudget) {
   Machine m2(code);
   DecodeCache cache2;
   retired = 0;
-  r = run_block(m2.mem, m2.cpu, &cache2, 2, retired);
+  r = run_block(m2.mem, m2.cpu, &cache2, nullptr, 2, retired);
   EXPECT_EQ(r.kind, StepKind::kOk);
   EXPECT_FALSE(r.block_end);
   EXPECT_EQ(retired, 2u);
@@ -649,7 +762,7 @@ TEST(DecodeCache, InstructionStraddlingPageBoundary) {
   cpu.ip = 0x1000;
   DecodeCache cache;
   uint64_t retired = 0;
-  StepResult r = run_block(mem, cpu, &cache, 2 * kPageSize, retired);
+  StepResult r = run_block(mem, cpu, &cache, nullptr, 2 * kPageSize, retired);
   ASSERT_EQ(r.kind, StepKind::kTrap);
   EXPECT_EQ(cpu.regs[7], 0x1122334455667788ull);
   EXPECT_EQ(r.fault_addr, 0x1000 + mov_at + 10);
@@ -702,7 +815,7 @@ TEST(DecodeCache, StatsInvariantAcrossFaultMatrix) {
     StepResult r{};
     for (int i = 0; i < 1000 && r.kind == StepKind::kOk; ++i) {
       uint64_t n = 0;
-      r = run_block(m.mem, m.cpu, &cache, 10000, n);
+      r = run_block(m.mem, m.cpu, &cache, nullptr, 10000, n);
       attempts += n;
     }
     EXPECT_EQ(r.kind, StepKind::kFault);
@@ -718,7 +831,7 @@ TEST(DecodeCache, StatsInvariantAcrossFaultMatrix) {
     uint64_t attempts = 0;
     for (int i = 0; i < 3; ++i) {
       uint64_t n = 0;
-      StepResult r = run_block(m.mem, m.cpu, &cache, 10, n);
+      StepResult r = run_block(m.mem, m.cpu, &cache, nullptr, 10, n);
       EXPECT_EQ(r.kind, StepKind::kFault);
       EXPECT_EQ(r.fault, FaultType::kIll);
       attempts += n;
@@ -744,7 +857,7 @@ TEST(DecodeCache, StatsInvariantAcrossFaultMatrix) {
     StepResult r{};
     while (r.kind == StepKind::kOk) {
       uint64_t n = 0;
-      r = run_block(mem, cpu, &cache, 100000, n);
+      r = run_block(mem, cpu, &cache, nullptr, 100000, n);
       attempts += n;
     }
     EXPECT_EQ(r.kind, StepKind::kTrap);
@@ -769,13 +882,14 @@ TEST(DecodeCache, RunBlockObservesPokeAtBlockEntry) {
   DecodeCache cache;
   for (int i = 0; i < 10; ++i) {
     uint64_t n = 0;
-    ASSERT_EQ(run_block(m.mem, m.cpu, &cache, 3, n).kind, StepKind::kOk);
+    ASSERT_EQ(run_block(m.mem, m.cpu, &cache, nullptr, 3, n).kind,
+              StepKind::kOk);
   }
   ASSERT_GT(cache.hits(), 0u);
   uint8_t trap = 0xCC;
   m.mem.poke(m.cpu.ip, &trap, 1);
   uint64_t n = 0;
-  StepResult r = run_block(m.mem, m.cpu, &cache, 100, n);
+  StepResult r = run_block(m.mem, m.cpu, &cache, nullptr, 100, n);
   EXPECT_EQ(r.kind, StepKind::kTrap);
   EXPECT_EQ(r.fault_addr, m.cpu.ip);
   EXPECT_EQ(n, 1u);
@@ -785,19 +899,28 @@ TEST(DecodeCache, RunBlockObservesPokeAtBlockEntry) {
 // Superblock cache
 // ---------------------------------------------------------------------------
 
-/// Drives the superblock-aware run_block the way the scheduler does: one
-/// call per quantum until a non-kOk result or `limit` total attempts.
+/// Drives the superblock-aware run_block the way the scheduler does: the
+/// run_block calls of one quantum share its budget, lifecycle events are
+/// drained after every call, and it stops at a non-kOk result or `limit`
+/// total attempts. Without draining, events stay pending and no exit ever
+/// follows a link: an unchained reference run.
 StepResult run_sb(Machine& m, DecodeCache& dc, SuperblockCache& sbc,
-                  uint64_t quantum, uint64_t limit, uint64_t& attempts) {
+                  uint64_t quantum, uint64_t limit, uint64_t& attempts,
+                  bool drain = true) {
   StepResult r{};
   attempts = 0;
   while (attempts < limit) {
-    uint64_t budget = std::min(quantum, limit - attempts);
-    uint64_t n = 0;
-    r = run_block(m.mem, m.cpu, &dc, &sbc, budget, n);
-    attempts += n;
-    if (r.kind != StepKind::kOk) return r;
-    if (n == 0) break;
+    const uint64_t quota = std::min(quantum, limit - attempts);
+    uint64_t done = 0;
+    while (done < quota) {
+      uint64_t n = 0;
+      r = run_block(m.mem, m.cpu, &dc, &sbc, quota - done, n);
+      done += n;
+      if (drain) sbc.take_events();
+      if (r.kind != StepKind::kOk || n == 0) break;
+    }
+    attempts += done;
+    if (r.kind != StepKind::kOk || done == 0) break;
   }
   return r;
 }
@@ -895,11 +1018,11 @@ TEST(Superblock, TrapChargedOncePerAttemptOnBudgetBoundary) {
     Machine m(code);
     DecodeCache dc;
     uint64_t n = 0;
-    StepResult r = run_block(m.mem, m.cpu, &dc, 6, n);
+    StepResult r = run_block(m.mem, m.cpu, &dc, nullptr, 6, n);
     EXPECT_EQ(r.kind, StepKind::kOk);
     EXPECT_EQ(n, 6u);
     EXPECT_EQ(m.cpu.ip, 0x1006u);
-    r = run_block(m.mem, m.cpu, &dc, 100, n);
+    r = run_block(m.mem, m.cpu, &dc, nullptr, 100, n);
     EXPECT_EQ(r.kind, StepKind::kTrap);
     EXPECT_EQ(r.fault_addr, 0x1006u);
     EXPECT_EQ(n, 1u);
@@ -1104,6 +1227,216 @@ TEST(Superblock, AddressSpaceRebuildDropsTraces) {
   StepResult r = run_block(m.mem, m.cpu, &dc, &sbc, 256, n);
   EXPECT_EQ(r.kind, StepKind::kTrap);
   EXPECT_EQ(sbc.superblocks(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Superblock chaining
+// ---------------------------------------------------------------------------
+
+/// Two traces on separate pages that hand control to each other through
+/// indirect jumps, so both exits are links: A (0x1000, four ops) counts r1
+/// up and jumps to r5; B (0x2000, two ops) bumps r2 and jumps to r6. An
+/// optional third page holds C = {r9 = 0xBAD; trap}.
+constexpr uint64_t kPingA = 0x1000;
+constexpr uint64_t kPingB = 0x2000;
+constexpr uint64_t kPingC = 0x3000;
+
+std::vector<uint8_t> ping_pong_code() {
+  std::vector<uint8_t> code;
+  Encoder e(code);
+  e.add_ri(1, 1);
+  e.cmp_ri(1, 1000000);
+  size_t out = e.branch(Op::kJge, 0);
+  e.jmpr(5);
+  e.patch_rel32(out, static_cast<int32_t>(e.offset() - (out + 5)));
+  e.trap();
+  while (code.size() < kPingB - kPingA) e.nop();
+  e.add_ri(2, 1);
+  e.jmpr(6);
+  while (code.size() < kPingC - kPingA) e.nop();
+  e.mov_ri(9, 0xBAD);
+  e.trap();
+  return code;
+}
+
+Machine ping_pong_machine() {
+  Machine m(ping_pong_code());
+  m.cpu.regs[5] = kPingB;
+  m.cpu.regs[6] = kPingA;
+  return m;
+}
+
+/// Runs the ping-pong until both traces exist and their links were taken.
+void warm_ping_pong(Machine& m, DecodeCache& dc, SuperblockCache& sbc) {
+  uint64_t attempts = 0;
+  ASSERT_EQ(run_sb(m, dc, sbc, 256, 2000, attempts).kind, StepKind::kOk);
+  ASSERT_EQ(sbc.superblocks(), 2u);
+  ASSERT_GT(sbc.chained(), 0u);
+}
+
+TEST(SuperblockChain, PatchedLinkTargetTrapsOnNextTraversal) {
+  Machine m = ping_pong_machine();
+  DecodeCache dc;
+  SuperblockCache sbc;
+  warm_ping_pong(m, dc, sbc);
+
+  // Patch B only: A stays valid and its exit link to B is current, so the
+  // next traversal reaches B through the link, whose page check must
+  // refuse the stale trace.
+  m.cpu.ip = kPingA;
+  const uint64_t r1 = m.cpu.regs[1];
+  const uint8_t trap = 0xCC;
+  m.mem.poke(kPingB, &trap, 1);
+  uint64_t attempts = 0;
+  StepResult r = run_sb(m, dc, sbc, 256, 1000, attempts);
+  EXPECT_EQ(r.kind, StepKind::kTrap);
+  EXPECT_EQ(r.fault_addr, kPingB);
+  EXPECT_EQ(m.cpu.regs[1], r1 + 1);
+  EXPECT_EQ(attempts, 5u);  // A's four ops, then the trap attempt
+  EXPECT_EQ(sbc.retires(), 1u);
+}
+
+TEST(SuperblockChain, RetireThenRebuildLeavesOldLinkDead) {
+  Machine m = ping_pong_machine();
+  DecodeCache dc;
+  SuperblockCache sbc;
+  warm_ping_pong(m, dc, sbc);
+
+  // Retire B (its page changed) through run_block's entry check.
+  const uint8_t same = m.mem.peek_bytes(kPingB, 1)[0];
+  m.mem.poke(kPingB, &same, 1);
+  m.cpu.ip = kPingB;
+  uint64_t n = 0;
+  ASSERT_EQ(run_block(m.mem, m.cpu, &dc, &sbc, 1, n).kind, StepKind::kOk);
+  ASSERT_EQ(sbc.retires(), 1u);
+  // Build C next: the allocator typically hands it the memory B's trace
+  // just freed, so A's old link {B, idx 0} would now name C.
+  for (uint32_t i = 0; i < SuperblockCache::kHotThreshold; ++i) {
+    m.cpu.ip = kPingC;
+    ASSERT_EQ(run_block(m.mem, m.cpu, &dc, &sbc, 256, n).kind,
+              StepKind::kTrap);
+  }
+  sbc.take_events();
+  ASSERT_EQ(sbc.builds(), 3u);
+  m.cpu.regs[9] = 0;
+
+  // A's exit must refill its link (B gets rebuilt at the same address)
+  // and never run C's code through the dead one.
+  m.cpu.ip = kPingA;
+  const uint64_t r1 = m.cpu.regs[1];
+  const uint64_t r2 = m.cpu.regs[2];
+  const uint64_t chained = sbc.chained();
+  uint64_t attempts = 0;
+  StepResult r = run_sb(m, dc, sbc, 256, 600, attempts);
+  EXPECT_EQ(r.kind, StepKind::kOk);
+  EXPECT_EQ(m.cpu.regs[9], 0u);
+  EXPECT_EQ(m.cpu.regs[1] - r1, 100u);  // 600 attempts = 100 x (4 + 2)
+  EXPECT_EQ(m.cpu.regs[2] - r2, 100u);
+  EXPECT_EQ(sbc.builds(), 4u);  // B rebuilt
+  EXPECT_GT(sbc.chained(), chained);
+}
+
+TEST(SuperblockChain, RetLinkWithTwoReturnSites) {
+  // f is its own trace, entered by callr from two sites; its ret link has
+  // to follow the return address, not the site it resolved first.
+  std::vector<uint8_t> code;
+  Encoder e(code);
+  size_t top = e.offset();
+  e.callr(5);
+  e.add_ri(3, 1);
+  e.callr(5);
+  e.add_ri(4, 1);
+  e.add_ri(1, 1);
+  e.cmp_ri(1, 100);
+  size_t j = e.branch(Op::kJlt, 0);
+  e.patch_rel32(j, static_cast<int32_t>(top) - static_cast<int32_t>(j + 5));
+  e.trap();
+  const uint64_t f = 0x1000 + e.offset();
+  e.add_ri(2, 1);
+  e.ret();
+
+  Machine plain(code);
+  plain.cpu.regs[5] = f;
+  StepResult rp = plain.run(100000);
+  Machine fused(code);
+  fused.cpu.regs[5] = f;
+  DecodeCache dc;
+  SuperblockCache sbc;
+  uint64_t attempts = 0;
+  StepResult rf = run_sb(fused, dc, sbc, 256, 100000, attempts);
+  EXPECT_EQ(rf.kind, StepKind::kTrap);
+  EXPECT_EQ(rf.kind, rp.kind);
+  EXPECT_EQ(fused.cpu.ip, plain.cpu.ip);
+  EXPECT_EQ(fused.cpu.regs, plain.cpu.regs);
+  EXPECT_EQ(fused.cpu.regs[2], 200u);
+  EXPECT_EQ(fused.cpu.regs[3], 100u);
+  EXPECT_EQ(fused.cpu.regs[4], 100u);
+  EXPECT_GT(sbc.chained(), 0u);
+}
+
+TEST(SuperblockChain, PendingEventsStopChaining) {
+  // The scheduler stamps sb events when it drains them after run_block
+  // returns; an exit must not chain past a queued event.
+  Machine m = ping_pong_machine();
+  DecodeCache dc;
+  SuperblockCache sbc;
+  warm_ping_pong(m, dc, sbc);
+  for (uint32_t i = 0; i < SuperblockCache::kHotThreshold; ++i) {
+    m.cpu.ip = kPingC;  // builds C: a kBuild event stays queued
+    uint64_t n = 0;
+    ASSERT_EQ(run_block(m.mem, m.cpu, &dc, &sbc, 256, n).kind,
+              StepKind::kTrap);
+  }
+  ASSERT_TRUE(sbc.events_pending());
+  m.cpu.ip = kPingA;
+  const uint64_t chained = sbc.chained();
+  uint64_t n = 0;
+  StepResult r = run_block(m.mem, m.cpu, &dc, &sbc, 256, n);
+  EXPECT_TRUE(r.block_end);
+  EXPECT_EQ(n, 4u);  // returned at A's exit, its link to B unused
+  EXPECT_EQ(m.cpu.ip, kPingB);
+  EXPECT_EQ(sbc.chained(), chained);
+}
+
+TEST(SuperblockChain, ChainedExitAtBudgetMatchesUnchainedRun) {
+  {
+    // A is exactly four ops: its exit link is current, but the budget is
+    // spent, so run_block returns at the exit instead of entering B.
+    Machine m = ping_pong_machine();
+    DecodeCache dc;
+    SuperblockCache sbc;
+    warm_ping_pong(m, dc, sbc);
+    m.cpu.ip = kPingA;
+    const uint64_t entries = sbc.entries();
+    uint64_t n = 0;
+    StepResult r = run_block(m.mem, m.cpu, &dc, &sbc, 4, n);
+    EXPECT_EQ(r.kind, StepKind::kOk);
+    EXPECT_TRUE(r.block_end);
+    EXPECT_EQ(n, 4u);
+    EXPECT_EQ(m.cpu.ip, kPingB);
+    EXPECT_EQ(sbc.entries(), entries + 1);
+  }
+  // Whole runs: every quantum splits the six-op cycle differently, so some
+  // exits land exactly on a budget boundary.
+  for (uint64_t quantum : {3u, 4u, 5u, 6u, 7u, 10u, 256u}) {
+    SCOPED_TRACE(quantum);
+    Machine chained = ping_pong_machine();
+    Machine unchained = ping_pong_machine();
+    DecodeCache dc[2];
+    SuperblockCache sbc[2];
+    uint64_t attempts[2] = {0, 0};
+    run_sb(chained, dc[0], sbc[0], quantum, 5000, attempts[0]);
+    run_sb(unchained, dc[1], sbc[1], quantum, 5000, attempts[1],
+           /*drain=*/false);
+    EXPECT_GT(sbc[0].chained(), 0u);
+    EXPECT_EQ(sbc[1].chained(), 0u);
+    EXPECT_EQ(attempts[0], attempts[1]);
+    EXPECT_EQ(sbc[0].entries(), sbc[1].entries());
+    EXPECT_EQ(sbc[0].builds(), sbc[1].builds());
+    EXPECT_EQ(sbc[0].sb_instrs(), sbc[1].sb_instrs());
+    EXPECT_EQ(chained.cpu.ip, unchained.cpu.ip);
+    EXPECT_EQ(chained.cpu.regs, unchained.cpu.regs);
+  }
 }
 
 }  // namespace
