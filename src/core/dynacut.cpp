@@ -11,6 +11,57 @@
 
 namespace dynacut::core {
 
+namespace {
+
+/// kRedirect's table rows for one image: flattened (trap addr, error-path
+/// addr) pairs. Same-function restriction (paper §3.2.2): only removed
+/// blocks in the error handler's own function are redirected; the others
+/// fall through to terminate.
+std::vector<uint64_t> redirect_rows(const image::ProcessImage& img,
+                                    const FeatureSpec& f) {
+  const image::ModuleImage* m = img.module_named(f.redirect_module);
+  if (m == nullptr) {
+    throw StateError("redirect: module not loaded: " + f.redirect_module);
+  }
+  const melf::Symbol* target_fn =
+      m->binary->symbol_containing(f.redirect_offset);
+  if (target_fn == nullptr) {
+    throw StateError("redirect: target offset " + hex_addr(f.redirect_offset) +
+                     " is not inside any function of " + f.redirect_module);
+  }
+  std::vector<uint64_t> rows;
+  for (const auto& b : f.blocks) {
+    if (b.module == f.redirect_module &&
+        m->binary->symbol_containing(b.offset) == target_fn) {
+      rows.insert(rows.end(),
+                  {m->base + b.offset, m->base + f.redirect_offset});
+    }
+  }
+  if (rows.empty()) {
+    throw StateError(
+        "redirect: no removed block shares a function with the error "
+        "handler (offset " +
+        hex_addr(f.redirect_offset) + " in " + target_fn->name + ")");
+  }
+  return rows;
+}
+
+/// read_table() plus the one `obs.warning` for a guest-scribbled count.
+TableRead read_and_warn(const os::Process& p, const GuestTable& t,
+                        obs::EventBus* bus) {
+  TableRead read = read_table(p, t);
+  if (read.clamped() && bus != nullptr) {
+    bus->emit(obs::Event(obs::ev::kWarning, p.pid)
+                  .with("what", std::string(t.count_sym) + " exceeds " +
+                                    t.records_sym + " capacity")
+                  .with("raw_count", read.raw_count)
+                  .with("capacity", read.capacity));
+  }
+  return read;
+}
+
+}  // namespace
+
 DynaCut::DynaCut(os::Os& os, int root_pid, CostModel model, CheckMode check)
     : os_(os), root_pid_(root_pid), model_(model), check_mode_(check) {
   if (os_.process(root_pid) == nullptr) {
@@ -131,13 +182,6 @@ analysis::cutcheck::CheckReport DynaCut::preflight(
   return report;
 }
 
-analysis::cutcheck::CheckReport DynaCut::preflight(
-    const FeatureSpec& spec, RemovalPolicy removal,
-    TrapPolicy trap_policy) const {
-  return preflight(
-      CutRequest{.feature = spec, .removal = removal, .trap = trap_policy});
-}
-
 void DynaCut::preflight_or_throw(const CutRequest& req) const {
   CheckMode mode = req.check.value_or(check_mode_);
   if (mode == CheckMode::kOff) return;
@@ -176,13 +220,6 @@ CustomizeReport DynaCut::disable_feature(const CutRequest& req) {
         "wipe removal)");
   }
   return apply(req);
-}
-
-CustomizeReport DynaCut::disable_feature(const FeatureSpec& spec,
-                                         RemovalPolicy removal,
-                                         TrapPolicy trap_policy) {
-  return disable_feature(
-      CutRequest{.feature = spec, .removal = removal, .trap = trap_policy});
 }
 
 CustomizeReport DynaCut::remove_init_code(
@@ -234,30 +271,78 @@ std::vector<int> DynaCut::live_pids(const PerPidEdits* subset) const {
   return out;
 }
 
-void DynaCut::stage_or_rollback(GroupTxn& txn, const std::string& feature,
-                                const std::vector<int>& pids,
-                                FaultStage& stage,
-                                const std::function<void(int)>& body) {
+CustomizeReport DynaCut::transact(
+    const std::string& feature, const std::string& label,
+    const std::string& action, const std::vector<int>& pids,
+    std::string commit_tag,
+    const std::vector<std::pair<std::string, std::string>>& tags,
+    const RewriteFn& rewrite, const std::function<void()>& committed) {
+  const bool incremental = ckpt_mode_ == CkptMode::kIncremental;
+  GroupTxn txn(os_, pids, store_, bus_, label, action,
+               incremental ? &baselines_ : nullptr,
+               incremental ? image::RestoreMode::kDelta
+                           : image::RestoreMode::kFull,
+               std::move(commit_tag));
+  CustomizeReport report;
+  FaultStage stage = FaultStage::kCheckpoint;
   int cur_pid = root_pid_;
   try {
+    // Stage phase: checkpoint and rewrite every image of the frozen group.
+    // No live process is touched yet, so a failure here only thaws it.
     for (int pid : pids) {
       cur_pid = pid;
       stage = FaultStage::kCheckpoint;
-      body(pid);
+      image::CkptStats ckpt;
+      image::ProcessImage img = txn.dump(pid, faults_, &ckpt);
+      report.timing.checkpoint_ns +=
+          ckpt.incremental ? model_.checkpoint_delta_cost(ckpt.pages_dumped)
+                           : model_.checkpoint_cost(ckpt.pages_total);
+      report.edits.image_pages += img.pages.size();
+      report.edits.pages_dumped += ckpt.pages_dumped;
+      report.edits.pages_shared += ckpt.pages_shared;
+
+      stage = FaultStage::kRewrite;
+      rw::ImageRewriter rewriter(img, faults_, bus_);
+      const size_t patched_before = report.edits.blocks_patched;
+      const size_t unmapped_before = report.edits.pages_unmapped;
+      rewrite(pid, rewriter, img, report, stage);
+      // Charge the per-pid delta, not the running totals: cumulative counts
+      // would over-charge code_update_ns for every process after the first.
+      report.timing.code_update_ns +=
+          model_.patch_cost(report.edits.blocks_patched - patched_before,
+                            report.edits.pages_unmapped - unmapped_before);
+      report.edits.pages_touched += rewriter.pages_touched();
+      txn.stage(pid, std::move(img));
+      ++report.edits.processes;
     }
-  } catch (const InjectedFault& f) {
-    txn.abort();
-    if (metrics_ != nullptr) metrics_->add("txn.aborts");
-    throw CustomizeError(feature, f.stage(), cur_pid, f.what());
-  } catch (const CustomizeError&) {
-    txn.abort();
-    if (metrics_ != nullptr) metrics_->add("txn.aborts");
-    throw;
+    // Commit phase: restore every staged image; on failure commit() itself
+    // rolls the group back to its pristine images.
+    txn.commit(feature, faults_,
+               [&](const image::ProcessImage& img, const image::CkptStats&,
+                   const image::RestoreStats& rst) {
+                 report.timing.restore_ns +=
+                     rst.in_place
+                         ? model_.restore_delta_cost(rst.pages_restored)
+                         : model_.restore_cost(img.pages.size());
+                 report.edits.pages_restored += rst.pages_restored;
+               });
   } catch (const Error& e) {
-    txn.abort();
+    txn.abort();  // a no-op once commit() has rolled back
     if (metrics_ != nullptr) metrics_->add("txn.aborts");
-    throw CustomizeError(feature, stage, cur_pid, e.what());
+    if (dynamic_cast<const CustomizeError*>(&e) != nullptr) throw;
+    const auto* fault = dynamic_cast<const InjectedFault*>(&e);
+    throw CustomizeError(feature, fault != nullptr ? fault->stage() : stage,
+                         cur_pid, e.what());
   }
+
+  committed();
+  // The rewrite window is billed to the freeze set: on a multi-core osim
+  // only the customized processes stall while the rest of the fleet keeps
+  // serving; with one core the whole machine stalls (historical fig8
+  // semantics). Charged before finalize_obs, which stamps txn.commit.
+  os_.charge_downtime(pids, report.timing.total_ns());
+  finalize_obs(report, label, action, tags);
+  return report;
 }
 
 void DynaCut::finalize_obs(
@@ -327,10 +412,6 @@ CustomizeReport DynaCut::apply(const CutRequest& request) {
   preflight_or_throw(req);
 
   const std::string& feature_name = req.feature.name;
-  const std::string& label = req.obs_label();
-  CustomizeReport report;
-  PerPidEdits per_pid;
-  std::vector<int> pids = live_pids();
 
   // Stub planning is offline analysis over the static binaries — done once
   // before the group freezes, not per pid. skip_trap blocks start with a
@@ -341,125 +422,74 @@ CustomizeReport DynaCut::apply(const CutRequest& request) {
   for (const auto& [mod, sp] : stub_plans) {
     if (!sp.skip_trap_blocks.empty()) skip_blocks[mod] = sp.skip_trap_blocks;
   }
-  std::map<int, std::vector<std::pair<uint64_t, uint64_t>>> per_pid_slots;
 
-  if (request.expand_to_slice) {
-    // Offline work before the group freezes: charged outside total_ns().
-    report.timing.analysis_ns += model_.slice_cost(slice.expanded);
-    if (bus_ != nullptr) {
-      bus_->emit(obs::Event(obs::ev::kSliceExpand)
-                     .with("feature", feature_name)
-                     .with("seed_blocks", static_cast<uint64_t>(slice.seeds))
-                     .with("slice_blocks",
-                           static_cast<uint64_t>(slice.expanded))
-                     .with("witnesses",
-                           static_cast<uint64_t>(slice.witnesses)));
-    }
+  if (request.expand_to_slice && bus_ != nullptr) {
+    bus_->emit(obs::Event(obs::ev::kSliceExpand)
+                   .with("feature", feature_name)
+                   .with("seed_blocks", static_cast<uint64_t>(slice.seeds))
+                   .with("slice_blocks", static_cast<uint64_t>(slice.expanded))
+                   .with("witnesses", static_cast<uint64_t>(slice.witnesses)));
   }
 
-  // Stage phase: freeze the whole group, checkpoint every process and
-  // rewrite every image. No live process is touched yet, so any failure
-  // aborts back to the untouched running group.
-  GroupTxn txn(os_, pids, store_, bus_, label, "disable",
-               ckpt_mode_ == CkptMode::kIncremental ? &baselines_ : nullptr,
-               ckpt_mode_ == CkptMode::kIncremental
-                   ? image::RestoreMode::kDelta
-                   : image::RestoreMode::kFull,
-               tag_with(feature_name, {}));
-  FaultStage stage = FaultStage::kCheckpoint;
-  stage_or_rollback(txn, feature_name, pids, stage, [&](int pid) {
-    image::CkptStats ckpt;
-    image::ProcessImage img = txn.dump(pid, faults_, &ckpt);
-    report.timing.checkpoint_ns +=
-        ckpt.incremental ? model_.checkpoint_delta_cost(ckpt.pages_dumped)
-                         : model_.checkpoint_cost(ckpt.pages_total);
-    report.edits.image_pages += img.pages.size();
-    report.edits.pages_dumped += ckpt.pages_dumped;
-    report.edits.pages_shared += ckpt.pages_shared;
-
-    stage = FaultStage::kRewrite;
-    rw::ImageRewriter rewriter(img, faults_, bus_);
-    std::vector<AppliedEdit> edits;
-    std::vector<std::pair<uint64_t, uint8_t>> originals;
-    size_t patched_before = report.edits.blocks_patched;
-    size_t unmapped_before = report.edits.pages_unmapped;
+  PerPidEdits per_pid;
+  std::map<int, std::vector<std::pair<uint64_t, uint64_t>>> per_pid_slots;
+  auto rewrite = [&](int pid, rw::ImageRewriter& rewriter,
+                     image::ProcessImage& img, CustomizeReport& report,
+                     FaultStage& stage) {
+    std::vector<AppliedEdit>& edits = per_pid[pid];
+    std::vector<uint64_t> orig_rows;
     remove_blocks(rewriter, img, req.feature.blocks, req.removal, edits,
-                  originals, report,
+                  orig_rows, report,
                   skip_blocks.empty() ? nullptr : &skip_blocks);
-
     if (!stub_plans.empty()) {
       stage = FaultStage::kInject;
       install_stubs(rewriter, img, stub_plans, req, edits,
                     per_pid_slots[pid], report);
     }
-    if (!edits.empty()) {
+    if (!edits.empty() && req.trap != TrapPolicy::kTerminate) {
       stage = FaultStage::kInject;
-      if (req.trap == TrapPolicy::kRedirect) {
-        install_redirects(rewriter, img, req.feature.blocks,
-                          req.feature.redirect_module,
-                          req.feature.redirect_offset, report);
-      } else if (req.trap == TrapPolicy::kVerify) {
-        install_verifier(rewriter, img, originals, report);
-      }
+      install_handler(rewriter, img, req.trap,
+                      req.trap == TrapPolicy::kRedirect
+                          ? redirect_rows(img, req.feature)
+                          : orig_rows,
+                      report);
     }
-    report.timing.code_update_ns +=
-        model_.patch_cost(report.edits.blocks_patched - patched_before,
-                          report.edits.pages_unmapped - unmapped_before);
-    report.edits.pages_touched += rewriter.pages_touched();
-
-    txn.stage(pid, std::move(img));
-    per_pid[pid] = std::move(edits);
-    ++report.edits.processes;
-  });
-
-  // Commit phase: persist + restore every staged image; a failure here
-  // rolls the group back to the pristine images and throws CustomizeError.
-  try {
-    txn.commit(feature_name, faults_,
-               [&](const image::ProcessImage& img, const image::CkptStats&,
-                   const image::RestoreStats& rst) {
-                 report.timing.restore_ns +=
-                     rst.in_place
-                         ? model_.restore_delta_cost(rst.pages_restored)
-                         : model_.restore_cost(img.pages.size());
-                 report.edits.pages_restored += rst.pages_restored;
-               });
-  } catch (const CustomizeError&) {
-    if (metrics_ != nullptr) metrics_->add("txn.aborts");
-    throw;
-  }
+  };
 
   // Record the edits only after commit, merging with any earlier rounds of
   // the same feature (remove_init_code can trim repeatedly): replacing the
   // record wholesale would leak the earlier rounds' stashed original bytes
   // and leave the feature only partially restorable.
-  PerPidEdits& dst = applied_[feature_name];
-  const char* policy = analysis::cutcheck::trap_name(req.trap);
-  for (auto& [pid, edits] : per_pid) {
-    for (const AppliedEdit& e : edits) {
-      // Stub edits (rel32/GOT redirects) never trap — registering them
-      // would misattribute an unrelated int3 landing on those bytes.
-      if (!e.unmapped && !e.stub) {
-        trap_sites_[{pid, e.patch.vaddr}] = TrapSite{feature_name, policy};
+  auto record = [&] {
+    PerPidEdits& dst = applied_[feature_name];
+    const char* policy = analysis::cutcheck::trap_name(req.trap);
+    for (auto& [pid, edits] : per_pid) {
+      for (const AppliedEdit& e : edits) {
+        // Stub edits (rel32/GOT redirects) never trap — registering them
+        // would misattribute an unrelated int3 landing on those bytes.
+        if (!e.unmapped && !e.stub) {
+          trap_sites_[{pid, e.patch.vaddr}] = TrapSite{feature_name, policy};
+        }
+      }
+      auto& vec = dst[pid];
+      vec.insert(vec.end(), std::make_move_iterator(edits.begin()),
+                 std::make_move_iterator(edits.end()));
+    }
+    for (const auto& [pid, slots] : per_pid_slots) {
+      for (const auto& [slot, entry_addr] : slots) {
+        stub_slots_[{pid, slot}] = StubSlotMeta{feature_name, entry_addr, 0};
+        stub_sites_[{pid, entry_addr}] = TrapSite{feature_name, policy};
       }
     }
-    auto& vec = dst[pid];
-    vec.insert(vec.end(), std::make_move_iterator(edits.begin()),
-               std::make_move_iterator(edits.end()));
-  }
-  for (const auto& [pid, slots] : per_pid_slots) {
-    for (const auto& [slot, entry_addr] : slots) {
-      stub_slots_[{pid, slot}] = StubSlotMeta{feature_name, entry_addr, 0};
-      stub_sites_[{pid, entry_addr}] = TrapSite{feature_name, policy};
-    }
-  }
+  };
 
-  // The rewrite window is billed to the freeze set: on a multi-core osim
-  // only the customized processes stall while the rest of the fleet keeps
-  // serving; with one core the whole machine stalls (historical fig8
-  // semantics).
-  os_.charge_downtime(pids, report.timing.total_ns());
-  finalize_obs(report, label, "disable", req.tags);
+  CustomizeReport report =
+      transact(feature_name, req.obs_label(), "disable", live_pids(),
+               tag_with(feature_name, {}), req.tags, rewrite, record);
+  if (request.expand_to_slice) {
+    // Offline work before the group froze: charged outside total_ns().
+    report.timing.analysis_ns += model_.slice_cost(slice.expanded);
+  }
   log_info("disabled '" + feature_name + "': " +
            std::to_string(report.edits.blocks_patched) +
            " blocks patched, " +
@@ -472,8 +502,7 @@ CustomizeReport DynaCut::apply(const CutRequest& request) {
 void DynaCut::remove_blocks(
     rw::ImageRewriter& rewriter, const image::ProcessImage& img,
     const std::vector<analysis::CovBlock>& blocks, RemovalPolicy removal,
-    std::vector<AppliedEdit>& edits,
-    std::vector<std::pair<uint64_t, uint8_t>>& originals,
+    std::vector<AppliedEdit>& edits, std::vector<uint64_t>& orig_rows,
     CustomizeReport& report,
     const std::map<std::string, std::set<uint64_t>>* skip) {
   // Resolve blocks to absolute ranges; skip modules absent from this image.
@@ -496,7 +525,7 @@ void DynaCut::remove_blocks(
       for (const auto& [addr, size] : ranges) {
         AppliedEdit e;
         e.patch = rewriter.block_first_byte(addr);
-        originals.emplace_back(addr, e.patch.original[0]);
+        orig_rows.insert(orig_rows.end(), {addr, e.patch.original[0]});
         report.edits.bytes_patched += e.patch.original.size();
         edits.push_back(std::move(e));
         ++report.edits.blocks_patched;
@@ -507,7 +536,6 @@ void DynaCut::remove_blocks(
       for (const auto& [addr, size] : ranges) {
         AppliedEdit e;
         e.patch = rewriter.wipe(addr, size);
-        originals.emplace_back(addr, e.patch.original[0]);
         report.edits.bytes_patched += e.patch.original.size();
         edits.push_back(std::move(e));
         ++report.edits.blocks_patched;
@@ -551,7 +579,6 @@ void DynaCut::remove_blocks(
           cur += chunk;
         }
         if (patched) ++report.edits.blocks_patched;
-        originals.emplace_back(addr, 0);  // unmap mode has no byte heal
       }
 
       // Drop the fully covered pages (content saved for re-enable).
@@ -574,107 +601,42 @@ void DynaCut::remove_blocks(
   }
 }
 
-void DynaCut::install_redirects(rw::ImageRewriter& rewriter,
-                                image::ProcessImage& img,
-                                const std::vector<analysis::CovBlock>& blocks,
-                                const std::string& redirect_module,
-                                uint64_t redirect_offset,
-                                CustomizeReport& report) {
-  const image::ModuleImage* m = img.module_named(redirect_module);
-  if (m == nullptr) {
-    throw StateError("redirect: module not loaded: " + redirect_module);
-  }
-  const melf::Symbol* target_fn =
-      m->binary->symbol_containing(redirect_offset);
-  if (target_fn == nullptr) {
-    throw StateError("redirect: target offset " + hex_addr(redirect_offset) +
-                     " is not inside any function of " + redirect_module);
-  }
-
-  // Same-function restriction (paper §3.2.2): only trap sites in the error
-  // handler's own function may be redirected; others terminate.
-  std::vector<std::pair<uint64_t, uint64_t>> entries;  // trap -> target
-  for (const auto& b : blocks) {
-    if (b.module != redirect_module) continue;
-    if (m->binary->symbol_containing(b.offset) == target_fn) {
-      entries.emplace_back(m->base + b.offset, m->base + redirect_offset);
-    }
-  }
-  if (entries.empty()) {
-    throw StateError(
-        "redirect: no removed block shares a function with the error "
-        "handler (offset " +
-        hex_addr(redirect_offset) + " in " + target_fn->name + ")");
-  }
-
-  if (img.module_named(kSigLibName) == nullptr) {
-    size_t relocs_before = rewriter.relocs_applied();
-    rewriter.inject_library(build_redirect_lib(/*capacity=*/256));
-    report.timing.inject_ns +=
-        model_.inject_cost(rewriter.relocs_applied() - relocs_before);
-  }
-  uint64_t count_addr = rewriter.symbol_addr(kSigLibName, "redirect_count");
-  uint64_t table_addr = rewriter.symbol_addr(kSigLibName, "redirect_table");
-  const melf::Symbol* table_sym =
-      img.module_named(kSigLibName)->binary->find_symbol("redirect_table");
-  uint64_t capacity = table_sym->size / 16;
-
-  uint64_t n = img.read_u64(count_addr);
-  if (n + entries.size() > capacity) {
-    throw StateError("redirect table overflow");
-  }
-  for (const auto& [trap, target] : entries) {
-    img.write_u64(table_addr + n * 16, trap);
-    img.write_u64(table_addr + n * 16 + 8, target);
-    ++n;
-  }
-  img.write_u64(count_addr, n);
-
-  rewriter.set_sigaction(os::sig::kSigTrap,
-                         rewriter.symbol_addr(kSigLibName, "dynacut_handler"),
-                         rewriter.symbol_addr(kSigLibName,
-                                              "dynacut_restorer"));
+void DynaCut::inject_once(
+    rw::ImageRewriter& rewriter, const image::ProcessImage& img,
+    const char* name,
+    const std::function<std::shared_ptr<const melf::Binary>()>& build,
+    CustomizeReport& report, uint64_t hint) {
+  if (img.module_named(name) != nullptr) return;
+  std::shared_ptr<const melf::Binary> lib = build();
+  const size_t relocs_before = rewriter.relocs_applied();
+  rewriter.inject_library(
+      lib, hint == 0 ? 0 : img.find_free(lib->image_size(), hint));
+  report.timing.inject_ns +=
+      model_.inject_cost(rewriter.relocs_applied() - relocs_before);
 }
 
-void DynaCut::install_verifier(
-    rw::ImageRewriter& rewriter, image::ProcessImage& img,
-    const std::vector<std::pair<uint64_t, uint8_t>>& originals,
-    CustomizeReport& report) {
-  // Inject once; a second verify-mode feature merges its originals into
-  // the existing table (mirrors the redirect path). The capacity headroom
-  // at first injection is what makes later merges possible.
-  if (img.module_named(kVerifyLibName) == nullptr) {
-    size_t relocs_before = rewriter.relocs_applied();
-    rewriter.inject_library(build_verifier_lib(
-        std::max<size_t>(originals.size(), 256), /*log_capacity=*/1024));
-    report.timing.inject_ns +=
-        model_.inject_cost(rewriter.relocs_applied() - relocs_before);
-  }
-
-  uint64_t count_addr = rewriter.symbol_addr(kVerifyLibName, "orig_count");
-  uint64_t table_addr = rewriter.symbol_addr(kVerifyLibName, "orig_table");
-  const melf::Symbol* table_sym =
-      img.module_named(kVerifyLibName)->binary->find_symbol("orig_table");
-  uint64_t capacity = table_sym->size / 16;
-
-  uint64_t n = img.read_u64(count_addr);
-  if (n + originals.size() > capacity) {
-    throw StateError("verifier orig-table overflow");
-  }
-  for (const auto& [addr, byte] : originals) {
-    img.write_u64(table_addr + n * 16, addr);
-    img.write_u64(table_addr + n * 16 + 8, byte);
-    ++n;
-  }
-  img.write_u64(count_addr, n);
-
-  // The handler heals code in place, so code pages of modules containing
-  // patched blocks must become writable-on-demand via mprotect; mprotect
-  // only changes prot, the pages must stay mapped — nothing else to do here.
+void DynaCut::install_handler(rw::ImageRewriter& rewriter,
+                              image::ProcessImage& img, TrapPolicy trap,
+                              const std::vector<uint64_t>& rows,
+                              CustomizeReport& report) {
+  const bool verify = trap == TrapPolicy::kVerify;
+  const GuestTable& table = verify ? kOrigTable : kRedirectTable;
+  // A later feature appends its rows to the table injected here, so the
+  // first injection leaves headroom.
+  auto build = [&] {
+    return verify ? build_verifier_lib(std::max<size_t>(rows.size() / 2, 256),
+                                       /*log_capacity=*/1024)
+                  : build_redirect_lib(/*capacity=*/256);
+  };
+  inject_once(rewriter, img, table.lib, build, report);
+  append_records(img, table, rows, 2);
+  // The verifier heals code in place: its handler mprotects the page
+  // writable itself, so the code pages only have to stay mapped.
   rewriter.set_sigaction(
       os::sig::kSigTrap,
-      rewriter.symbol_addr(kVerifyLibName, "dynacut_verify_handler"),
-      rewriter.symbol_addr(kVerifyLibName, "dynacut_restorer"));
+      rewriter.symbol_addr(table.lib, verify ? "dynacut_verify_handler"
+                                             : "dynacut_handler"),
+      rewriter.symbol_addr(table.lib, "dynacut_restorer"));
 }
 
 void DynaCut::install_stubs(
@@ -686,46 +648,15 @@ void DynaCut::install_stubs(
   // The stub lib must sit within rel32 range of every redirected callsite;
   // the default inject hint deliberately is not (it mimics high mmap
   // randomization), so place it in the low gap above libc instead.
-  if (img.module_named(kStubLibName) == nullptr) {
-    auto lib = build_stub_lib(/*capacity=*/256);
-    size_t relocs_before = rewriter.relocs_applied();
-    rewriter.inject_library(
-        lib, img.find_free(lib->image_size(), /*hint=*/0x70000000));
-    report.timing.inject_ns +=
-        model_.inject_cost(rewriter.relocs_applied() - relocs_before);
-  }
-  const image::ModuleImage* stub_mod = img.module_named(kStubLibName);
-  uint64_t count_addr = rewriter.symbol_addr(kStubLibName, "stub_count");
-  uint64_t slots_addr = rewriter.symbol_addr(kStubLibName, "stub_slots");
-  const melf::Symbol* slots_sym = stub_mod->binary->find_symbol("stub_slots");
-  const uint64_t capacity = slots_sym->size / kStubSlotBytes;
-
-  uint64_t n = img.read_u64(count_addr);
-  // One slot per distinct (entry, mode, value): every callsite of the same
-  // cut entry shares a slot, so its hit counter aggregates per feature entry.
-  std::map<std::tuple<uint64_t, uint64_t, uint64_t>, uint64_t> slot_for;
-  auto get_slot = [&](uint64_t entry_addr, uint64_t mode,
-                      uint64_t value) -> uint64_t {
-    auto key = std::make_tuple(entry_addr, mode, value);
-    auto it = slot_for.find(key);
-    if (it != slot_for.end()) return it->second;
-    if (n >= capacity) throw StateError("stub slot table overflow");
-    uint64_t slot = n++;
-    img.write_u64(slots_addr + slot * kStubSlotBytes + 8, mode);
-    img.write_u64(slots_addr + slot * kStubSlotBytes + 16, value);
-    slot_for.emplace(key, slot);
-    slots.emplace_back(slot, entry_addr);
-    return slot;
-  };
-  auto stub_fn = [&](uint64_t slot) {
-    return rewriter.symbol_addr(kStubLibName,
-                                "dynacut_stub_" + std::to_string(slot));
-  };
+  inject_once(
+      rewriter, img, kStubLibName,
+      [] { return build_stub_lib(/*capacity=*/256); }, report,
+      /*hint=*/0x70000000);
 
   // kRedirect's same-function restriction carries over: only callsites in
   // the error handler's own function may branch to it (pop the call return
   // address first for a call, plain tail jump otherwise); everything else
-  // deny-returns the configured result.
+  // deny-returns kStubDenyResult.
   const image::ModuleImage* rmod = nullptr;
   const melf::Symbol* redirect_fn = nullptr;
   if (req.trap == TrapPolicy::kRedirect) {
@@ -736,24 +667,41 @@ void DynaCut::install_stubs(
     }
   }
 
+  // Plan every redirect before allocating: one slot per distinct (entry,
+  // mode, value), so every callsite of the same cut entry shares a slot
+  // and its hit counter aggregates per feature entry. A new slot's record
+  // is {hits = 0, mode, value}.
+  struct Redirect {
+    uint64_t at;    // callsite, or GOT slot when `got`
+    bool got;
+    uint64_t slot;  // index among this call's new slots
+  };
+  std::vector<Redirect> redirects;
+  std::vector<uint64_t> records;
+  std::vector<uint64_t> entries;  // stubbed entry per new slot
+  std::map<std::tuple<uint64_t, uint64_t, uint64_t>, uint64_t> slot_for;
+  auto plan = [&](uint64_t at, bool got, uint64_t entry, uint64_t mode,
+                  uint64_t value) {
+    auto [it, fresh] =
+        slot_for.try_emplace({entry, mode, value}, entries.size());
+    if (fresh) {
+      records.insert(records.end(), {0, mode, value});
+      entries.push_back(entry);
+    }
+    redirects.push_back(Redirect{at, got, it->second});
+  };
   for (const auto& [mod_name, sp] : plans) {
     const image::ModuleImage* m = img.module_named(mod_name);
     if (m == nullptr) continue;
     for (const auto& site : sp.sites) {
       uint64_t mode = kStubModeDenyRet;
-      uint64_t value = req.stub_result;
+      uint64_t value = kStubDenyResult;
       if (redirect_fn != nullptr && rmod == m &&
           m->binary->symbol_containing(site.instr) == redirect_fn) {
         mode = site.is_call ? kStubModePopJmp : kStubModeTailJmp;
         value = rmod->base + req.feature.redirect_offset;
       }
-      uint64_t slot = get_slot(m->base + site.entry, mode, value);
-      AppliedEdit e;
-      e.stub = true;
-      e.patch = rewriter.redirect_branch(m->base + site.instr, stub_fn(slot));
-      report.edits.bytes_patched += e.patch.original.size();
-      edits.push_back(std::move(e));
-      ++report.edits.callsites_stubbed;
+      plan(m->base + site.instr, false, m->base + site.entry, mode, value);
     }
     // PLT half: cross-module imports of a stubbed export go through the
     // importer's GOT slot — repoint the slot and the importer's existing
@@ -764,20 +712,29 @@ void DynaCut::install_stubs(
         if (other.binary == nullptr) continue;
         for (size_t i = 0; i < other.binary->imports.size(); ++i) {
           if (other.binary->imports[i] != name) continue;
-          uint64_t slot =
-              get_slot(m->base + entry, kStubModeDenyRet, req.stub_result);
-          AppliedEdit e;
-          e.stub = true;
-          e.patch = rewriter.redirect_got(
-              other.base + other.binary->got_slot_offset(i), stub_fn(slot));
-          report.edits.bytes_patched += e.patch.original.size();
-          edits.push_back(std::move(e));
-          ++report.edits.got_slots_stubbed;
+          plan(other.base + other.binary->got_slot_offset(i), true,
+               m->base + entry, kStubModeDenyRet, kStubDenyResult);
         }
       }
     }
   }
-  img.write_u64(count_addr, n);
+
+  const uint64_t first = append_records(img, kStubSlots, records, 3);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    slots.emplace_back(first + i, entries[i]);
+  }
+  for (const Redirect& r : redirects) {
+    const uint64_t stub = rewriter.symbol_addr(
+        kStubLibName, "dynacut_stub_" + std::to_string(first + r.slot));
+    AppliedEdit e;
+    e.stub = true;
+    e.patch = r.got ? rewriter.redirect_got(r.at, stub)
+                    : rewriter.redirect_branch(r.at, stub);
+    report.edits.bytes_patched += e.patch.original.size();
+    edits.push_back(std::move(e));
+    ++(r.got ? report.edits.got_slots_stubbed
+             : report.edits.callsites_stubbed);
+  }
 }
 
 CustomizeReport DynaCut::restore_feature(const std::string& name) {
@@ -785,32 +742,12 @@ CustomizeReport DynaCut::restore_feature(const std::string& name) {
   if (it == applied_.end()) {
     throw StateError("feature not disabled: " + name);
   }
+  const PerPidEdits& recorded = it->second;
 
-  CustomizeReport report;
-  std::vector<int> pids = live_pids(&it->second);
-
-  GroupTxn txn(os_, pids, store_, bus_, name, "restore",
-               ckpt_mode_ == CkptMode::kIncremental ? &baselines_ : nullptr,
-               ckpt_mode_ == CkptMode::kIncremental
-                   ? image::RestoreMode::kDelta
-                   : image::RestoreMode::kFull,
-               tag_with({}, name));
-  FaultStage stage = FaultStage::kCheckpoint;
-  stage_or_rollback(txn, name, pids, stage, [&](int pid) {
-    image::CkptStats ckpt;
-    image::ProcessImage img = txn.dump(pid, faults_, &ckpt);
-    report.timing.checkpoint_ns +=
-        ckpt.incremental ? model_.checkpoint_delta_cost(ckpt.pages_dumped)
-                         : model_.checkpoint_cost(ckpt.pages_total);
-    report.edits.image_pages += img.pages.size();
-    report.edits.pages_dumped += ckpt.pages_dumped;
-    report.edits.pages_shared += ckpt.pages_shared;
-
-    stage = FaultStage::kRewrite;
-    rw::ImageRewriter rewriter(img, faults_, bus_);
-    const std::vector<AppliedEdit>& edits = it->second.at(pid);
-    size_t patched_before = report.edits.blocks_patched;
-    size_t unmapped_before = report.edits.pages_unmapped;
+  auto undo = [&](int pid, rw::ImageRewriter& rewriter,
+                  image::ProcessImage& img, CustomizeReport& report,
+                  FaultStage&) {
+    const std::vector<AppliedEdit>& edits = recorded.at(pid);
     for (auto e = edits.rbegin(); e != edits.rend(); ++e) {
       if (e->unmapped) {
         img.add_vma(e->patch.vaddr, e->patch.original.size(), e->vma_prot,
@@ -823,53 +760,32 @@ CustomizeReport DynaCut::restore_feature(const std::string& name) {
         ++report.edits.blocks_patched;
       }
     }
-    // Charge the per-pid delta, not the running totals: cumulative counts
-    // would over-charge code_update_ns for every process after the first.
-    report.timing.code_update_ns +=
-        model_.patch_cost(report.edits.blocks_patched - patched_before,
-                          report.edits.pages_unmapped - unmapped_before);
-    report.edits.pages_touched += rewriter.pages_touched();
-
-    txn.stage(pid, std::move(img));
-    ++report.edits.processes;
-  });
-
-  try {
-    txn.commit(name, faults_,
-               [&](const image::ProcessImage& img, const image::CkptStats&,
-                   const image::RestoreStats& rst) {
-                 report.timing.restore_ns +=
-                     rst.in_place
-                         ? model_.restore_delta_cost(rst.pages_restored)
-                         : model_.restore_cost(img.pages.size());
-                 report.edits.pages_restored += rst.pages_restored;
-               });
-  } catch (const CustomizeError&) {
-    if (metrics_ != nullptr) metrics_->add("txn.aborts");
-    throw;
-  }
+  };
 
   // The traps are gone from the code; stop attributing hits to them. Stub
-  // slots likewise: the callsite/GOT redirects were undone above, so their
-  // guest counters can never advance again (the injected lib itself stays —
-  // a later disable continues from the same slot cursor).
-  for (const auto& [pid, edits] : it->second) {
-    for (const AppliedEdit& e : edits) {
-      if (!e.unmapped) trap_sites_.erase({pid, e.patch.vaddr});
+  // slots likewise: the callsite/GOT redirects were undone, so their guest
+  // counters can never advance again (the injected lib itself stays — a
+  // later disable continues from the same slot cursor).
+  auto forget = [&] {
+    for (const auto& [pid, edits] : recorded) {
+      for (const AppliedEdit& e : edits) {
+        if (!e.unmapped) trap_sites_.erase({pid, e.patch.vaddr});
+      }
     }
-  }
-  for (auto sit = stub_slots_.begin(); sit != stub_slots_.end();) {
-    if (sit->second.feature == name) {
-      stub_sites_.erase({sit->first.first, sit->second.entry_addr});
-      sit = stub_slots_.erase(sit);
-    } else {
-      ++sit;
+    for (auto sit = stub_slots_.begin(); sit != stub_slots_.end();) {
+      if (sit->second.feature == name) {
+        stub_sites_.erase({sit->first.first, sit->second.entry_addr});
+        sit = stub_slots_.erase(sit);
+      } else {
+        ++sit;
+      }
     }
-  }
+    applied_.erase(it);
+  };
 
-  applied_.erase(it);
-  os_.charge_downtime(pids, report.timing.total_ns());
-  finalize_obs(report, name, "restore");
+  CustomizeReport report = transact(name, name, "restore",
+                                    live_pids(&recorded), tag_with({}, name),
+                                    {}, undo, forget);
   log_info("restored feature '" + name + "'");
   return report;
 }
@@ -877,55 +793,38 @@ CustomizeReport DynaCut::restore_feature(const std::string& name) {
 std::vector<uint64_t> DynaCut::verifier_log(int pid) const {
   const os::Process* p = os_.process(pid);
   if (p == nullptr) throw StateError("verifier_log: no process");
-  VerifierLogRead read = read_verifier_log(*p);
-  if (read.clamped && bus_ != nullptr) {
-    bus_->emit(obs::Event(obs::ev::kWarning, pid)
-                   .with("what", "verifier log_count exceeds log capacity")
-                   .with("raw_count", read.raw_count)
-                   .with("capacity", read.capacity));
-  }
+  std::vector<uint64_t> addrs = read_and_warn(*p, kHealLog, bus_).heads;
   // Surface entries not seen by a previous read as verifier.heal events.
   uint64_t& seen = heals_seen_[pid];
-  for (uint64_t i = seen; i < read.addrs.size(); ++i) {
+  for (uint64_t i = seen; i < addrs.size(); ++i) {
     if (bus_ != nullptr) {
-      bus_->emit(obs::Event(obs::ev::kVerifierHeal, pid)
-                     .with("addr", read.addrs[i]));
+      bus_->emit(
+          obs::Event(obs::ev::kVerifierHeal, pid).with("addr", addrs[i]));
     }
     if (metrics_ != nullptr) metrics_->add("verifier.heals");
   }
-  seen = std::max<uint64_t>(seen, read.addrs.size());
-  return read.addrs;
+  seen = std::max<uint64_t>(seen, addrs.size());
+  return addrs;
 }
 
 uint64_t DynaCut::poll_stub_hits() {
   uint64_t total_new = 0;
   int cur_pid = -1;
-  StubHitsRead read;
-  bool have_read = false;
+  std::vector<uint64_t> hits;
   // stub_slots_ is keyed (pid, slot) so one guest read serves all of a
-  // pid's slots; the guest counter is untrusted, so read_stub_hits clamps.
+  // pid's slots; an exited pid reads as no hits.
   for (auto& [key, meta] : stub_slots_) {
     const auto& [pid, slot] = key;
     if (pid != cur_pid) {
       cur_pid = pid;
-      have_read = false;
       const os::Process* p = os_.process(pid);
-      if (p != nullptr && p->state != os::Process::State::kExited) {
-        read = read_stub_hits(*p);
-        have_read = true;
-        if (read.clamped && bus_ != nullptr) {
-          bus_->emit(obs::Event(obs::ev::kWarning, pid)
-                         .with("what", "stub_count exceeds slot capacity")
-                         .with("raw_count", read.raw_count)
-                         .with("capacity", read.capacity));
-        }
-      }
+      hits = p != nullptr && p->state != os::Process::State::kExited
+                 ? read_and_warn(*p, kStubSlots, bus_).heads
+                 : std::vector<uint64_t>{};
     }
-    if (!have_read || slot >= read.hits.size()) continue;
-    const uint64_t hits = read.hits[slot];
-    if (hits <= meta.seen_hits) continue;
-    const uint64_t delta = hits - meta.seen_hits;
-    meta.seen_hits = hits;
+    if (slot >= hits.size() || hits[slot] <= meta.seen_hits) continue;
+    const uint64_t delta = hits[slot] - meta.seen_hits;
+    meta.seen_hits = hits[slot];
     total_new += delta;
     if (bus_ != nullptr) {
       // The annotator enriches the event with feature/policy and charges
@@ -933,7 +832,7 @@ uint64_t DynaCut::poll_stub_hits() {
       bus_->emit(obs::Event(obs::ev::kStubHit, pid)
                      .with("addr", meta.entry_addr)
                      .with("hits", delta)
-                     .with("total", hits));
+                     .with("total", hits[slot]));
     } else if (metrics_ != nullptr) {
       metrics_->add("cut.stub_hits", delta);
     }

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -90,9 +91,6 @@ struct FeatureSpec {
 ///                       .removal = RemovalPolicy::kUnmapPages,
 ///                       .trap = TrapPolicy::kRedirect,
 ///                       .label = "cve-2021-xxxx"});
-///
-/// Replaces the old positional (spec, removal, trap) surface, which remains
-/// available as deprecated shims.
 struct CutRequest {
   FeatureSpec feature;
   RemovalPolicy removal = RemovalPolicy::kBlockFirstByte;
@@ -119,9 +117,6 @@ struct CutRequest {
   /// net with the trap policy above. Incompatible with kUnmapPages (the
   /// net needs mapped code).
   CutMechanism mechanism = CutMechanism::kTrap;
-  /// Deny return value baked into mode-0 stub slots (the HTTP-403 analogue
-  /// for callers that check the callee's result).
-  uint64_t stub_result = 403;
   /// Label carried by this customization's obs transaction events; empty
   /// defaults to feature.name.
   std::string label;
@@ -225,16 +220,6 @@ class DynaCut {
   /// error handler's function, kVerify without kBlockFirstByte).
   CustomizeReport disable_feature(const CutRequest& req);
 
-  [[deprecated("use preflight(const CutRequest&)")]]
-  analysis::cutcheck::CheckReport preflight(const FeatureSpec& spec,
-                                            RemovalPolicy removal,
-                                            TrapPolicy trap_policy) const;
-
-  [[deprecated("use disable_feature(const CutRequest&)")]]
-  CustomizeReport disable_feature(const FeatureSpec& spec,
-                                  RemovalPolicy removal,
-                                  TrapPolicy trap_policy);
-
   /// Re-enables a previously disabled feature (restores bytes, re-maps
   /// unmapped ranges from the original binary). Transactional like
   /// disable_feature: an aborted restore leaves the feature fully disabled
@@ -313,12 +298,26 @@ class DynaCut {
   /// keys when given (restore_feature only touches recorded pids).
   std::vector<int> live_pids(const PerPidEdits* subset = nullptr) const;
 
-  /// Wraps a staging loop: runs `body` per pid, converting any failure into
-  /// CustomizeError(feature, stage, pid) after aborting `txn`. `body` must
-  /// update `stage` as it crosses stage boundaries.
-  void stage_or_rollback(GroupTxn& txn, const std::string& feature,
-                         const std::vector<int>& pids, FaultStage& stage,
-                         const std::function<void(int)>& body);
+  /// One pid's edit inside transact(): rewrites `img` through `rw`, adds
+  /// its edit counts to `report`, and sets `stage` to kInject before it
+  /// touches an injected library.
+  using RewriteFn =
+      std::function<void(int pid, rw::ImageRewriter& rw,
+                         image::ProcessImage& img, CustomizeReport& report,
+                         FaultStage& stage)>;
+
+  /// The one stage/commit path behind apply() and restore_feature(): a
+  /// GroupTxn over `pids` that dumps, rewrites and stages every image, then
+  /// commits them all, charging each phase to the cost model. Any failure
+  /// rolls the group back and throws CustomizeError naming `feature`. On
+  /// success it runs `committed` (the caller's bookkeeping), charges the
+  /// freeze window to `pids` and closes the obs transaction as `action`.
+  CustomizeReport transact(
+      const std::string& feature, const std::string& label,
+      const std::string& action, const std::vector<int>& pids,
+      std::string commit_tag,
+      const std::vector<std::pair<std::string, std::string>>& tags,
+      const RewriteFn& rewrite, const std::function<void()>& committed);
 
   /// The cutcheck gate at the top of apply(): extracts per-module plans
   /// from the root process's loaded modules, runs the verifier and acts on
@@ -344,14 +343,15 @@ class DynaCut {
   using StubPlans = std::map<std::string, analysis::slicer::StubPlan>;
   StubPlans plan_stub_redirection(const CutRequest& req) const;
 
-  /// Removal-policy application; fills `edits` and the redirect/original
-  /// tables' raw entries. Blocks whose (module, offset) appears in `skip`
-  /// are left untouched — their callsite redirect IS the denial
-  /// (StubSite::skip_trap).
+  /// Removal-policy application; fills `edits` and, for kBlockFirstByte
+  /// (the only removal kVerify accepts), `orig_rows`: the verifier table's
+  /// flattened (block addr, original first byte) rows. Blocks whose
+  /// (module, offset) appears in `skip` are left untouched — their
+  /// callsite redirect IS the denial (StubSite::skip_trap).
   void remove_blocks(rw::ImageRewriter& rw, const image::ProcessImage& img,
                      const std::vector<analysis::CovBlock>& blocks,
                      RemovalPolicy removal, std::vector<AppliedEdit>& edits,
-                     std::vector<std::pair<uint64_t, uint8_t>>& originals,
+                     std::vector<uint64_t>& orig_rows,
                      CustomizeReport& report,
                      const std::map<std::string, std::set<uint64_t>>* skip =
                          nullptr);
@@ -363,6 +363,15 @@ class DynaCut {
     uint64_t seen_hits = 0;   ///< hits already surfaced as stub.hit events
   };
 
+  /// Injects `build()`'s library into `img` unless `name` is already
+  /// loaded there, charging its relocations to inject_ns. A nonzero
+  /// `hint` places it at the first free range from that address. Injected
+  /// libraries stay: a later feature appends to their tables.
+  void inject_once(
+      rw::ImageRewriter& rw, const image::ProcessImage& img, const char* name,
+      const std::function<std::shared_ptr<const melf::Binary>()>& build,
+      CustomizeReport& report, uint64_t hint = 0);
+
   /// Injects the deny-stub library (once per image, near the app so rel32
   /// reaches it), allocates slots, patches callsites and GOT slots.
   /// `slots` receives the (slot index, absolute entry) pairs allocated for
@@ -373,16 +382,13 @@ class DynaCut {
                      std::vector<std::pair<uint64_t, uint64_t>>& slots,
                      CustomizeReport& report);
 
-  void install_redirects(
-      rw::ImageRewriter& rw, image::ProcessImage& img,
-      const std::vector<analysis::CovBlock>& blocks,
-      const std::string& redirect_module, uint64_t redirect_offset,
-      CustomizeReport& report);
-
-  void install_verifier(
-      rw::ImageRewriter& rw, image::ProcessImage& img,
-      const std::vector<std::pair<uint64_t, uint8_t>>& originals,
-      CustomizeReport& report);
+  /// The SIGTRAP handler for `trap` (kRedirect or kVerify): injects its
+  /// library once, appends `rows` — flattened redirect (trap, target) or
+  /// verifier (block, original byte) pairs — to its table and points the
+  /// SIGTRAP sigaction at it.
+  void install_handler(rw::ImageRewriter& rw, image::ProcessImage& img,
+                       TrapPolicy trap, const std::vector<uint64_t>& rows,
+                       CustomizeReport& report);
 
   /// Closes the bus transaction with the final edit statistics (filling
   /// report.obs) and charges the registry — success paths only.

@@ -1,6 +1,7 @@
 #include "core/handler_lib.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "melf/builder.hpp"
@@ -16,6 +17,22 @@ namespace {
 /// paper's injected rt_sigreturn restorer code).
 void emit_restorer(ProgramBuilder& b) {
   b.func("dynacut_restorer").sys(os::sys::kSigreturn);
+}
+
+/// Where a table lives once its library is loaded at `base`.
+struct TableAddrs {
+  uint64_t count_addr;
+  uint64_t records_addr;
+  uint64_t capacity;  ///< records the records symbol really holds
+};
+
+TableAddrs locate(const melf::Binary& lib, uint64_t base,
+                  const GuestTable& t) {
+  const melf::Symbol* count = lib.find_symbol(t.count_sym);
+  const melf::Symbol* records = lib.find_symbol(t.records_sym);
+  DYNACUT_ASSERT(count != nullptr && records != nullptr);
+  return TableAddrs{base + count->value, base + records->value,
+                    records->size / t.record_bytes};
 }
 
 }  // namespace
@@ -143,42 +160,48 @@ std::shared_ptr<const melf::Binary> build_stub_lib(size_t capacity) {
   return std::make_shared<melf::Binary>(b.link());
 }
 
-StubHitsRead read_stub_hits(const os::Process& p) {
-  StubHitsRead out;
-  const os::LoadedModule* lib = p.module_named(kStubLibName);
-  if (lib == nullptr) return out;
-  const melf::Symbol* count_sym = lib->binary->find_symbol("stub_count");
-  const melf::Symbol* slots_sym = lib->binary->find_symbol("stub_slots");
-  DYNACUT_ASSERT(count_sym != nullptr && slots_sym != nullptr);
-  out.capacity = slots_sym->size / kStubSlotBytes;
-  p.mem.peek(lib->base + count_sym->value, &out.raw_count, 8);
-  // stub_count lives in guest memory: clamp before it drives the peek loop.
-  uint64_t count = std::min<uint64_t>(out.raw_count, out.capacity);
-  out.clamped = count != out.raw_count;
-  out.hits.resize(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    p.mem.peek(lib->base + slots_sym->value + i * kStubSlotBytes,
-               &out.hits[i], 8);
+uint64_t append_records(image::ProcessImage& img, const GuestTable& t,
+                        std::span<const uint64_t> words, size_t record_words) {
+  DYNACUT_ASSERT(record_words * 8 <= t.record_bytes &&
+                 words.size() % record_words == 0);
+  const image::ModuleImage* lib = img.module_named(t.lib);
+  if (lib == nullptr) {
+    throw StateError(std::string(t.records_sym) + ": " + t.lib +
+                     " is not injected");
   }
-  return out;
+  const TableAddrs at = locate(*lib->binary, lib->base, t);
+  const uint64_t n = img.read_u64(at.count_addr);
+  const uint64_t added = words.size() / record_words;
+  // n is guest-written: test it on its own before subtracting, so no
+  // count can wrap the bound or turn into an address outside the table.
+  if (n > at.capacity || added > at.capacity - n) {
+    throw StateError(std::string(t.records_sym) + " overflow: " +
+                     std::to_string(n) + " + " + std::to_string(added) +
+                     " records, capacity " + std::to_string(at.capacity));
+  }
+  for (uint64_t i = 0; i < added; ++i) {
+    for (size_t w = 0; w < record_words; ++w) {
+      img.write_u64(at.records_addr + (n + i) * t.record_bytes + w * 8,
+                    words[i * record_words + w]);
+    }
+  }
+  img.write_u64(at.count_addr, n + added);
+  return n;
 }
 
-VerifierLogRead read_verifier_log(const os::Process& p) {
-  VerifierLogRead out;
-  const os::LoadedModule* lib = p.module_named(kVerifyLibName);
+TableRead read_table(const os::Process& p, const GuestTable& t) {
+  TableRead out;
+  const os::LoadedModule* lib = p.module_named(t.lib);
   if (lib == nullptr) return out;
-  const melf::Symbol* count_sym = lib->binary->find_symbol("log_count");
-  const melf::Symbol* buf_sym = lib->binary->find_symbol("log_buf");
-  DYNACUT_ASSERT(count_sym != nullptr && buf_sym != nullptr);
-  out.capacity = buf_sym->size / 8;
-  p.mem.peek(lib->base + count_sym->value, &out.raw_count, 8);
-  // The guest owns log_count; trusting it would let a scribbled counter
-  // drive the peek loop arbitrarily far past log_buf.
-  uint64_t count = std::min<uint64_t>(out.raw_count, out.capacity);
-  out.clamped = count != out.raw_count;
-  out.addrs.resize(count);
-  if (count > 0) {
-    p.mem.peek(lib->base + buf_sym->value, out.addrs.data(), count * 8);
+  const TableAddrs at = locate(*lib->binary, lib->base, t);
+  out.capacity = at.capacity;
+  p.mem.peek(at.count_addr, &out.raw_count, 8);
+  const uint64_t count = std::min(out.raw_count, out.capacity);
+  std::vector<uint8_t> raw(count * t.record_bytes);
+  if (count > 0) p.mem.peek(at.records_addr, raw.data(), raw.size());
+  out.heads.resize(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    std::memcpy(&out.heads[i], raw.data() + i * t.record_bytes, 8);
   }
   return out;
 }

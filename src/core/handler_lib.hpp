@@ -10,8 +10,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "image/image.hpp"
 #include "melf/binary.hpp"
 #include "os/process.hpp"
 
@@ -30,6 +32,9 @@ inline constexpr size_t kStubSlotBytes = 32;
 inline constexpr uint64_t kStubModeDenyRet = 0;  ///< return `value` (errno)
 inline constexpr uint64_t kStubModePopJmp = 1;   ///< drop call RA, jmp value
 inline constexpr uint64_t kStubModeTailJmp = 2;  ///< jmp value (tail entry)
+/// The `value` of kStubModeDenyRet slots: the HTTP-403 analogue for callers
+/// that check the callee's result.
+inline constexpr uint64_t kStubDenyResult = 403;
 
 /// Redirect fault handler: on SIGTRAP it looks the faulting address up in
 /// `redirect_table` ((trap_addr, target_addr) pairs, `redirect_count`
@@ -61,34 +66,51 @@ std::shared_ptr<const melf::Binary> build_verifier_lib(size_t capacity,
 /// dynacut_stub_<i>.
 std::shared_ptr<const melf::Binary> build_stub_lib(size_t capacity);
 
-/// Per-slot hit counters of the injected stub library, read back from live
-/// guest memory (the stub.hit poll — the stub path never enters the host,
-/// so hits are harvested like the verifier log, not trapped).
-struct StubHitsRead {
-  std::vector<uint64_t> hits;  ///< one per allocated slot, slot order
-  uint64_t raw_count = 0;      ///< in-guest stub_count field, unclamped
-  uint64_t capacity = 0;       ///< stub_slots capacity in records
-  bool clamped = false;        ///< raw_count exceeded capacity
+/// One host<->guest table of an injected library: a u64 count symbol next
+/// to an array of fixed-size records. The host appends records into a
+/// frozen image (append_records) and reads guest-written tables back from
+/// live memory (read_table). The count lives in guest memory, so it is
+/// untrusted on both paths: it is only ever compared against the records
+/// symbol's real capacity, never used to compute an address first.
+struct GuestTable {
+  const char* lib;          ///< injected library name
+  const char* count_sym;    ///< u64 record count
+  const char* records_sym;  ///< the record array
+  size_t record_bytes;      ///< bytes per record
 };
 
-/// Reads `p`'s injected stub library hit counters. The in-guest count is
-/// untrusted and clamped to the table's real capacity (see
-/// read_verifier_log). Returns an empty read when the library is absent.
-StubHitsRead read_stub_hits(const os::Process& p);
+/// Redirect rows (trap addr, target addr), host-written.
+inline constexpr GuestTable kRedirectTable{kSigLibName, "redirect_count",
+                                           "redirect_table", 16};
+/// Verifier rows (block addr, original first byte), host-written.
+inline constexpr GuestTable kOrigTable{kVerifyLibName, "orig_count",
+                                       "orig_table", 16};
+/// Verifier heal log (healed addrs), guest-written.
+inline constexpr GuestTable kHealLog{kVerifyLibName, "log_count", "log_buf",
+                                     8};
+/// Deny-stub slots: the host allocates them, the guest bumps word 0 (hits).
+inline constexpr GuestTable kStubSlots{kStubLibName, "stub_count",
+                                       "stub_slots", kStubSlotBytes};
 
-/// The verifier library's heal log, read back from live guest memory.
-struct VerifierLogRead {
-  std::vector<uint64_t> addrs;  ///< healed addresses, oldest first
-  uint64_t raw_count = 0;       ///< in-guest log_count field, unclamped
-  uint64_t capacity = 0;        ///< log_buf capacity in entries
-  bool clamped = false;         ///< raw_count exceeded the buffer capacity
+/// Appends records to `t` in `img`, whose library must already be injected,
+/// and returns the index of the first one. `words` holds `record_words` u64s
+/// per record, written from the start of each record. Throws StateError
+/// before writing anything when the stored count exceeds the capacity or
+/// the records do not fit; otherwise writes the records, then the count.
+uint64_t append_records(image::ProcessImage& img, const GuestTable& t,
+                        std::span<const uint64_t> words, size_t record_words);
+
+/// A guest table read back from live memory.
+struct TableRead {
+  std::vector<uint64_t> heads;  ///< word 0 of each counted record, in order
+  uint64_t raw_count = 0;       ///< the guest-written count, unclamped
+  uint64_t capacity = 0;        ///< records the table really holds
+  bool clamped() const { return raw_count > capacity; }
 };
 
-/// Reads `p`'s injected verifier library log. The in-guest count field is
-/// untrusted (the guest can scribble anything there); the read is clamped
-/// to the table's real capacity and `clamped` reports when that happened —
-/// the caller surfaces it as an obs warning instead of over-reading guest
-/// memory. Returns an empty read when the library is not injected.
-VerifierLogRead read_verifier_log(const os::Process& p);
+/// Reads `t` from `p`'s live memory, with its count clamped to the
+/// capacity so a scribbled count never drives an over-read. Returns an
+/// empty read when the library is not injected.
+TableRead read_table(const os::Process& p, const GuestTable& t);
 
 }  // namespace dynacut::core

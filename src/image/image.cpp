@@ -301,7 +301,6 @@ ProcessImage ProcessImage::decode(std::span<const uint8_t> data) {
 // ---------------------------------------------------------------------------
 
 std::string ImageKey::str() const {
-  if (pid < 0) return "legacy:" + feature_set_tag;
   std::string s = "pid " + std::to_string(pid);
   if (!feature_set_tag.empty()) s += " [" + feature_set_tag + "]";
   return s;
@@ -333,18 +332,6 @@ std::vector<ImageKey> ImageStore::list() const {
   keys.reserve(files_.size());
   for (const auto& [k, img] : files_) keys.push_back(k);
   return keys;
-}
-
-void ImageStore::put(const std::string& key, const ProcessImage& img) {
-  put(legacy_key(key), img);
-}
-
-ProcessImage ImageStore::get(const std::string& key) const {
-  return get(legacy_key(key));
-}
-
-bool ImageStore::contains(const std::string& key) const {
-  return contains(legacy_key(key));
 }
 
 size_t ImageStore::bytes_used() const {

@@ -227,23 +227,6 @@ TEST(Checkpoint, FdTableCapturesSocketState) {
   restore(vos, {.pid = pid, .img = &img});
 }
 
-TEST(Checkpoint, DeprecatedPositionalShimsStillWork) {
-  // The pre-CkptRequest positional signatures survive as [[deprecated]]
-  // shims forwarding to the struct API; old callers behave identically.
-  os::Os vos;
-  int pid = vos.spawn(testing::build_toysrv(), {apps::build_libc()});
-  vos.run();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  CkptStats st;
-  ProcessImage img = checkpoint(vos, pid, nullptr, nullptr, nullptr, &st);
-  EXPECT_EQ(st.pages_dumped, st.pages_total);
-  RestoreStats rst = restore(vos, pid, img);
-#pragma GCC diagnostic pop
-  EXPECT_TRUE(rst.in_place);
-  EXPECT_EQ(img.encode(), checkpoint(vos, {.pid = pid}).img.encode());
-}
-
 TEST(Checkpoint, RestoreNewBootsFromStoredImage) {
   // Paper footnote 5: restoring a post-init image replaces rerunning init.
   os::Os vos;
@@ -252,7 +235,7 @@ TEST(Checkpoint, RestoreNewBootsFromStoredImage) {
   ProcessImage img = checkpoint(vos, {.pid = pid}).img;
   vos.kill(pid);
 
-  int pid2 = restore_new(vos, img);
+  int pid2 = spawn_from_image(vos, img);
   EXPECT_NE(pid2, pid);
   vos.run();
   // The listener was re-registered; a fresh client can connect and the
@@ -339,26 +322,6 @@ TEST(ImageStore, ListAndEraseTypedKeys) {
   EXPECT_EQ(store.erase(ImageKey{1, "SET"}), 0u);
   EXPECT_FALSE(store.contains(ImageKey{1, "SET"}));
   EXPECT_EQ(store.list().size(), 2u);
-}
-
-TEST(ImageStore, DeprecatedStringApiStillWorks) {
-  // The pre-ImageKey string API survives as [[deprecated]] shims filed
-  // under a reserved legacy namespace; old callers keep working unchanged.
-  ProcessImage img = blank_image();
-  img.core.proc_name = "legacy";
-  ImageStore store;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_FALSE(store.contains("k"));
-  store.put("k", img);
-  EXPECT_TRUE(store.contains("k"));
-  EXPECT_EQ(store.get("k").core.proc_name, "legacy");
-  EXPECT_THROW(store.get("missing"), StateError);
-#pragma GCC diagnostic pop
-  // Legacy keys never collide with typed keys (reserved pid -1).
-  EXPECT_FALSE(store.contains(ImageKey{0, "k"}));
-  ASSERT_EQ(store.list().size(), 1u);
-  EXPECT_EQ(store.list()[0].str(), "legacy:k");
 }
 
 TEST(ImageStore, DeserializedImageRestoresProcess) {

@@ -586,6 +586,28 @@ TEST(ObsIntegration, VerifierLogHealsAndClampWarning) {
   const Event* warn = px.ring.of_type(ev::kWarning)[0];
   EXPECT_EQ(warn->attr_u64("raw_count"), huge);
   EXPECT_EQ(warn->attr_u64("capacity"), buf->size / 8);
+
+  // The stub table's count is guest memory too: poll_stub_hits clamps a
+  // scribbled stub_count the same way.
+  dc.restore_feature("B");
+  CustomizeReport rep =
+      dc.disable_feature({.feature = px.feature_b,
+                          .removal = RemovalPolicy::kBlockFirstByte,
+                          .check = core::CheckMode::kWarn,
+                          .mechanism = core::CutMechanism::kStub});
+  ASSERT_GE(rep.edits.callsites_stubbed, 1u);
+  const os::LoadedModule* stub_lib = p->module_named(core::kStubLibName);
+  ASSERT_NE(stub_lib, nullptr);
+  p->mem.poke(stub_lib->base +
+                  stub_lib->binary->find_symbol("stub_count")->value,
+              &huge, 8);
+  const uint64_t slots =
+      stub_lib->binary->find_symbol("stub_slots")->size / core::kStubSlotBytes;
+  EXPECT_EQ(dc.poll_stub_hits(), 0u);  // no probe yet: nothing new
+  ASSERT_EQ(px.ring.count(ev::kWarning), 2u);
+  warn = px.ring.of_type(ev::kWarning)[1];
+  EXPECT_EQ(warn->attr_u64("raw_count"), huge);
+  EXPECT_EQ(warn->attr_u64("capacity"), slots);
 }
 
 // --- CutRequest ----------------------------------------------------------
@@ -633,26 +655,6 @@ TEST(CutRequestTest, LabelAndTagsRideOnTheCommitEvent) {
   EXPECT_TRUE(dc.feature_disabled("B"));
   dc.restore_feature("B");
 }
-
-// --- deprecated positional shims ----------------------------------------
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(CutRequestTest, DeprecatedPositionalShimsStillWork) {
-  ObsPipeline px;
-  DynaCut dc(px.vos, px.pid);
-  auto report = dc.preflight(px.feature_b, RemovalPolicy::kBlockFirstByte,
-                             TrapPolicy::kRedirect);
-  EXPECT_TRUE(report.ok());
-  CustomizeReport rep = dc.disable_feature(
-      px.feature_b, RemovalPolicy::kBlockFirstByte, TrapPolicy::kRedirect);
-  EXPECT_GT(rep.edits.blocks_patched, 0u);
-  EXPECT_EQ(rep.obs.label, "B");
-  EXPECT_EQ(px.request("B\n"), "err\n");
-  dc.restore_feature("B");
-  EXPECT_EQ(px.request("B\n"), "beta\n");
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace dynacut

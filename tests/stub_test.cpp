@@ -362,15 +362,14 @@ TEST(StubCut, GotSlotRedirectDeniesCrossModuleImport) {
       {.feature = spec,
        .removal = RemovalPolicy::kBlockFirstByte,
        .trap = TrapPolicy::kTerminate,
-       .mechanism = CutMechanism::kStub,
-       .stub_result = 403});
+       .mechanism = CutMechanism::kStub});
   EXPECT_EQ(rep.edits.got_slots_stubbed, 1u);
 
   const uint64_t traps_before = rig.vos.total_sigtraps();
   rig.vos.run(6000);
   // The import now lands in the deny stub: the caller sees 403, keeps
   // running, and no signal was delivered.
-  EXPECT_EQ(rig.result(), 403u);
+  EXPECT_EQ(rig.result(), kStubDenyResult);
   EXPECT_EQ(rig.vos.process(rig.pid)->term_signal, 0);
   EXPECT_EQ(rig.vos.total_sigtraps(), traps_before);
   EXPECT_GE(dc.poll_stub_hits(), 1u);

@@ -446,6 +446,51 @@ TEST(Txn, SecondVerifyFeatureMergesIntoExistingVerifier) {
   EXPECT_EQ(dc.verifier_log(srv.pid).size(), 2u);
 }
 
+TEST(Txn, ScribbledTableCountFailsTheNextDisableCleanly) {
+  // Each injected table's count lives in guest memory. Whatever the guest
+  // writes there, the next append must fail before it writes anything: a
+  // count of UINT64_MAX must not wrap the capacity check, and a full table
+  // must not take one more record.
+  struct Case {
+    GuestTable table;
+    TrapPolicy trap;
+    CutMechanism mechanism;
+  };
+  for (const Case& c :
+       {Case{kRedirectTable, TrapPolicy::kRedirect, CutMechanism::kTrap},
+        Case{kOrigTable, TrapPolicy::kVerify, CutMechanism::kTrap},
+        Case{kStubSlots, TrapPolicy::kTerminate, CutMechanism::kStub}}) {
+    SCOPED_TRACE(c.table.count_sym);
+    ServerRig srv;
+    DynaCut dc(srv.vos, srv.pid, {}, CheckMode::kWarn);
+    const CutRequest req{.feature = srv.feature_b,
+                         .removal = RemovalPolicy::kBlockFirstByte,
+                         .trap = c.trap,
+                         .mechanism = c.mechanism};
+    // One disable→restore leaves the library injected with a used table.
+    dc.disable_feature(req);
+    dc.restore_feature("B");
+    os::Process* p = srv.vos.process(srv.pid);
+    const os::LoadedModule* lib = p->module_named(c.table.lib);
+    ASSERT_NE(lib, nullptr);
+    const uint64_t count_addr =
+        lib->base + lib->binary->find_symbol(c.table.count_sym)->value;
+    const uint64_t capacity =
+        lib->binary->find_symbol(c.table.records_sym)->size /
+        c.table.record_bytes;
+
+    for (uint64_t scribbled : {~uint64_t{0}, capacity}) {
+      SCOPED_TRACE(scribbled);
+      p->mem.poke(count_addr, &scribbled, 8);
+      const Snap before = Snap::of(*p);
+      EXPECT_THROW(dc.disable_feature(req), CustomizeError);
+      EXPECT_TRUE(Snap::of(*p) == before);
+      EXPECT_FALSE(dc.feature_disabled("B"));
+      EXPECT_EQ(srv.request("B\n"), "beta\n");
+    }
+  }
+}
+
 TEST(Txn, DoubleInitTrimRemainsFullyRestorable) {
   GroupRig rig;
   auto bin = group_guest();
