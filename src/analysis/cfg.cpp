@@ -55,26 +55,19 @@ StaticCfg recover_cfg(const melf::Binary& bin) {
     if (!decode_at(bin, off, ins)) continue;
     instrs[off] = ins;
 
-    uint64_t next = off + ins.length;
     if (isa::is_direct_transfer(ins.op)) {
       uint64_t target = ins.target(off);
       leaders.insert(target);
       work.push_back(target);
-      if (isa::is_cond_branch(ins.op) || ins.op == isa::Op::kCall) {
-        leaders.insert(next);
-        work.push_back(next);
-      }
-    } else if (!isa::is_terminator(ins.op)) {
-      work.push_back(next);
-    } else if (ins.op == isa::Op::kSyscall ||
-               ins.op == isa::Op::kCallR) {
-      // Syscalls fall through (except exit, which we can't know statically);
-      // register calls return to the next instruction like direct calls,
-      // even though their outgoing edge is only known to the slicer.
-      leaders.insert(next);
+    }
+    // A terminator that falls through (branch not taken, the return point
+    // of a call, callr or syscall) starts a block; a register call's own
+    // edge is only known to the slicer.
+    if (isa::falls_through(ins.op)) {
+      uint64_t next = off + ins.length;
+      if (isa::is_terminator(ins.op)) leaders.insert(next);
       work.push_back(next);
     }
-    // ret / indirect jumps end the path.
   }
 
   // Pass 2: form blocks between leaders.
@@ -98,10 +91,7 @@ StaticCfg recover_cfg(const melf::Binary& bin) {
         if (isa::is_direct_transfer(ins.op)) {
           blk.succs.push_back(ins.target(cur));
         }
-        if (isa::is_cond_branch(ins.op) || ins.op == isa::Op::kCall ||
-            ins.op == isa::Op::kSyscall || ins.op == isa::Op::kCallR) {
-          blk.succs.push_back(next);
-        }
+        if (isa::falls_through(ins.op)) blk.succs.push_back(next);
         break;
       }
       if (leaders.count(next)) {  // a leader splits the straight line

@@ -639,27 +639,9 @@ int64_t sp_depth_at(const Ctx& c, const slicer::FuncDataflow& fd,
   uint64_t cur = blk->offset;
   isa::Instr ins;
   while (cur < off && decode_at(c.bin, cur, ins)) {
-    switch (ins.op) {
-      case isa::Op::kPush: depth -= 8; break;
-      case isa::Op::kPop:
-        if (ins.r1 == isa::kSpReg) return slicer::kUnknownDepth;
-        depth += 8;
-        break;
-      case isa::Op::kAddRI:
-        if (ins.r1 == isa::kSpReg) depth += ins.imm;
-        break;
-      case isa::Op::kSubRI:
-        if (ins.r1 == isa::kSpReg) depth -= ins.imm;
-        break;
-      case isa::Op::kMovRI:
-      case isa::Op::kMovRR:
-      case isa::Op::kLea:
-      case isa::Op::kLoad:
-      case isa::Op::kLoadB:
-        if (ins.r1 == isa::kSpReg) return slicer::kUnknownDepth;
-        break;
-      default: break;
-    }
+    std::optional<int64_t> d = isa::sp_delta(ins);
+    if (!d) return slicer::kUnknownDepth;
+    depth += *d;
     cur += ins.length;
   }
   return cur == off ? depth : slicer::kUnknownDepth;

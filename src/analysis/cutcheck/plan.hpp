@@ -35,7 +35,7 @@ enum class Trap {
   kVerify,     ///< injected verifier heals the byte and logs the address
 };
 
-/// How disabled code is *reached-and-denied* (ROADMAP item 3). kTrap is the
+/// How disabled code is *reached-and-denied* (DESIGN §15). kTrap is the
 /// paper's mechanism: every entry into cut code raises SIGTRAP and pays a
 /// signal round-trip. kStub retargets PLT slots and direct call/jmp callsites
 /// at wholly-cut functions to a tiny injected error stub (one branch, no

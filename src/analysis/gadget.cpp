@@ -2,6 +2,7 @@
 
 #include "common/constants.hpp"
 #include "isa/isa.hpp"
+#include "vm/exec.hpp"
 #include <algorithm>
 #include <cstdint>
 
@@ -11,21 +12,14 @@ namespace {
 
 bool gadget_at(const vm::AddressSpace& mem, uint64_t addr, int max_instrs) {
   uint64_t cur = addr;
+  isa::Instr ins;
   for (int i = 0; i < max_instrs; ++i) {
-    uint8_t buf[16];
-    if (!mem.read(cur, buf, 1, kProtExec).ok) return false;
-    uint8_t len = isa::instr_length(buf[0]);
-    if (len == 0) return false;
-    if (len > 1 && !mem.read(cur + 1, buf + 1, len - 1, kProtExec).ok) {
-      return false;
-    }
-    auto ins = isa::try_decode({buf, len});
-    if (!ins) return false;
-    if (ins->op == isa::Op::kRet) return true;
-    if (ins->op == isa::Op::kTrap) return false;  // wiped / blocked code
-    // Any other terminator diverts control away from the sequence.
-    if (isa::is_terminator(ins->op)) return false;
-    cur += len;
+    if (vm::fetch(mem, cur, ins).kind != vm::StepKind::kOk) return false;
+    if (ins.op == isa::Op::kRet) return true;
+    // Any other terminator (a trap: wiped / blocked code) diverts control
+    // away from the sequence.
+    if (isa::is_terminator(ins.op)) return false;
+    cur += ins.length;
   }
   return false;
 }

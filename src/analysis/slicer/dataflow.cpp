@@ -4,13 +4,12 @@
 #include <deque>
 #include <optional>
 
+#include "vm/ops.hpp"
+
 namespace dynacut::analysis::slicer {
 namespace {
 
 using isa::Op;
-
-constexpr uint16_t kCallerSavedMask = 0x0FFF;  // r0..r11 (r11: PLT scratch)
-constexpr uint16_t kArgMask = 0x003E;          // r1..r5
 
 uint16_t bit(int reg) { return static_cast<uint16_t>(1u << reg); }
 
@@ -55,11 +54,9 @@ struct ModCtx {
   }
 };
 
+// Offset arithmetic; constant operands never get here (fold() runs first).
 AbsVal add_vals(const AbsVal& a, const AbsVal& b) {
   using K = AbsVal::Kind;
-  if (a.kind == K::kConst && b.kind == K::kConst) {
-    return AbsVal::konst(a.value + b.value);
-  }
   // offset + constant keeps exactness; offset + unknown keeps the base.
   auto mix = [](const AbsVal& off, const AbsVal& other) -> AbsVal {
     if (other.kind == K::kConst) {
@@ -76,9 +73,6 @@ AbsVal add_vals(const AbsVal& a, const AbsVal& b) {
 
 AbsVal sub_vals(const AbsVal& a, const AbsVal& b) {
   using K = AbsVal::Kind;
-  if (a.kind == K::kConst && b.kind == K::kConst) {
-    return AbsVal::konst(a.value - b.value);
-  }
   if (a.kind == K::kModOff && b.kind == K::kConst) {
     return AbsVal::mod_off(a.value - b.value);
   }
@@ -102,27 +96,39 @@ ResolvedAddr resolve_addr(const AbsVal& base, int64_t disp) {
   return {};
 }
 
+/// Runs an alu op whose source registers all hold constants through the
+/// semantic function the VM executes, so the folded value is the one the
+/// guest computes. A divide by a constant 0 faults at run time, so no later
+/// instruction sees its result; 0 stands in.
+std::optional<AbsVal> fold(const isa::Instr& ins, const RegState& s) {
+  vm::Cpu cpu;
+  const uint16_t used = isa::uses(ins);
+  for (int r = 0; r < isa::kNumRegs; ++r) {
+    if ((used & bit(r)) == 0) continue;
+    if (s[r].kind != AbsVal::Kind::kConst) return std::nullopt;
+    cpu.regs[r] = s[r].value;
+  }
+  if (vm::ops::alu(cpu, ins)) return AbsVal::konst(0);
+  return AbsVal::konst(cpu.regs[ins.r1]);
+}
+
 /// Applies one instruction to the register state; records resolvable memory
 /// accesses into `refs` when non-null.
 void transfer(const ModCtx& mc, uint64_t off, uint64_t block,
               const isa::Instr& ins, RegState& s,
               std::vector<MemRef>* refs) {
-  using K = AbsVal::Kind;
   switch (ins.op) {
     case Op::kMovRI: {
       auto rit = mc.abs_relocs.find(off + 2);  // imm64 field (mov_sym)
       s[ins.r1] = rit != mc.abs_relocs.end()
                       ? AbsVal::mod_off(static_cast<uint64_t>(rit->second))
                       : AbsVal::konst(static_cast<uint64_t>(ins.imm));
-      break;
+      return;
     }
-    case Op::kMovRR:
-      s[ins.r1] = s[ins.r2];
-      break;
     case Op::kLea:
       s[ins.r1] = AbsVal::mod_off(off + ins.length +
                                   static_cast<uint64_t>(ins.imm));
-      break;
+      return;
     case Op::kLoad:
     case Op::kLoadB: {
       ResolvedAddr a = resolve_addr(s[ins.r2], ins.imm);
@@ -145,7 +151,7 @@ void transfer(const ModCtx& mc, uint64_t off, uint64_t block,
         }
       }
       s[ins.r1] = v;
-      break;
+      return;
     }
     case Op::kStore:
     case Op::kStoreB: {
@@ -153,64 +159,36 @@ void transfer(const ModCtx& mc, uint64_t off, uint64_t block,
       if (a.ok && refs != nullptr) {
         refs->push_back({off, block, a.target, true, a.exact});
       }
-      break;
+      return;
     }
-    case Op::kAddRR:
-      s[ins.r1] = add_vals(s[ins.r1], s[ins.r2]);
-      break;
-    case Op::kAddRI:
-      s[ins.r1] = add_vals(s[ins.r1],
-                           AbsVal::konst(static_cast<uint64_t>(ins.imm)));
-      break;
-    case Op::kSubRR:
-      s[ins.r1] = sub_vals(s[ins.r1], s[ins.r2]);
-      break;
-    case Op::kSubRI:
-      s[ins.r1] = sub_vals(s[ins.r1],
-                           AbsVal::konst(static_cast<uint64_t>(ins.imm)));
-      break;
-    case Op::kXorRR:
-      if (ins.r1 == ins.r2) {
-        s[ins.r1] = AbsVal::konst(0);
-        break;
-      }
-      [[fallthrough]];
-    case Op::kMulRR:
-    case Op::kDivRR:
-    case Op::kAndRR:
-    case Op::kOrRR: {
-      const AbsVal &a = s[ins.r1], &b = s[ins.r2];
-      if (a.kind == K::kConst && b.kind == K::kConst) {
-        uint64_t r = 0;
-        switch (ins.op) {
-          case Op::kMulRR: r = a.value * b.value; break;
-          case Op::kDivRR: r = b.value == 0 ? 0 : a.value / b.value; break;
-          case Op::kAndRR: r = a.value & b.value; break;
-          case Op::kOrRR: r = a.value | b.value; break;
-          default: r = a.value ^ b.value; break;
-        }
-        s[ins.r1] = AbsVal::konst(r);
-      } else {
-        s[ins.r1] = AbsVal::unknown();
-      }
-      break;
-    }
-    case Op::kShlRI:
-    case Op::kShrRI:
-      s[ins.r1] = s[ins.r1].kind == K::kConst
-                      ? AbsVal::konst(ins.op == Op::kShlRI
-                                          ? s[ins.r1].value << ins.imm
-                                          : s[ins.r1].value >> ins.imm)
-                      : AbsVal::unknown();
-      break;
     case Op::kPop:
       s[ins.r1] = AbsVal::unknown();  // stack contents are not modelled
-      break;
+      return;
     case Op::kSyscall:
       s[0] = AbsVal::unknown();
-      break;
+      return;
     default:
-      break;  // cmp/branches/push/call/ret/nop/trap: no register writes here
+      break;
+  }
+  // cmp/branches/push/call/ret/nop/trap: no register writes here.
+  if (isa::op_class(ins.op) != isa::OpClass::kAlu || isa::defs(ins) == 0) {
+    return;
+  }
+  if (auto v = fold(ins, s)) {
+    s[ins.r1] = *v;
+    return;
+  }
+  const AbsVal imm = AbsVal::konst(static_cast<uint64_t>(ins.imm));
+  switch (ins.op) {
+    case Op::kMovRR: s[ins.r1] = s[ins.r2]; break;
+    case Op::kAddRR: s[ins.r1] = add_vals(s[ins.r1], s[ins.r2]); break;
+    case Op::kAddRI: s[ins.r1] = add_vals(s[ins.r1], imm); break;
+    case Op::kSubRR: s[ins.r1] = sub_vals(s[ins.r1], s[ins.r2]); break;
+    case Op::kSubRI: s[ins.r1] = sub_vals(s[ins.r1], imm); break;
+    case Op::kXorRR:
+      s[ins.r1] = ins.r1 == ins.r2 ? AbsVal::konst(0) : AbsVal::unknown();
+      break;
+    default: s[ins.r1] = AbsVal::unknown(); break;
   }
 }
 
@@ -274,7 +252,7 @@ ModuleDataflow analyze_module(const melf::Binary& bin, const StaticCfg& cfg) {
                           t == fallthrough;
       if (is_call_fall) {
         for (int r = 0; r < isa::kNumRegs; ++r) {
-          if ((kCallerSavedMask & bit(r)) != 0) edge[r] = AbsVal::unknown();
+          if ((isa::kCallerSaved & bit(r)) != 0) edge[r] = AbsVal::unknown();
         }
       }
       if (entry_like.count(t) != 0) continue;  // pinned to all-unknown
@@ -328,79 +306,16 @@ FuncDataflow analyze_function(const melf::Binary& bin, const StaticCfg& cfg,
     BlockFacts facts;
     uint64_t cur = boff;
     isa::Instr ins;
-    auto use = [&](int r) {
-      if ((facts.def_mask & bit(r)) == 0) facts.use_mask |= bit(r);
-    };
-    auto def = [&](int r) { facts.def_mask |= bit(r); };
-    auto bump = [&](int64_t d) {
-      if (facts.stack_delta != kUnknownDepth) facts.stack_delta += d;
-    };
     for (uint32_t i = 0; i < blk->instr_count && decode_at(bin, cur, ins);
          ++i) {
-      switch (ins.op) {
-        case Op::kMovRI: def(ins.r1); break;
-        case Op::kMovRR: use(ins.r2); def(ins.r1); break;
-        case Op::kLea: def(ins.r1); break;
-        case Op::kLoad:
-        case Op::kLoadB: use(ins.r2); def(ins.r1); break;
-        case Op::kStore:
-        case Op::kStoreB: use(ins.r1); use(ins.r2); break;
-        case Op::kAddRR:
-        case Op::kSubRR:
-        case Op::kMulRR:
-        case Op::kDivRR:
-        case Op::kAndRR:
-        case Op::kOrRR:
-        case Op::kXorRR: use(ins.r1); use(ins.r2); def(ins.r1); break;
-        case Op::kAddRI:
-        case Op::kSubRI:
-        case Op::kShlRI:
-        case Op::kShrRI: use(ins.r1); def(ins.r1); break;
-        case Op::kCmpRR: use(ins.r1); use(ins.r2); break;
-        case Op::kCmpRI: use(ins.r1); break;
-        case Op::kPush: use(ins.r1); bump(-8); break;
-        case Op::kPop: def(ins.r1); bump(8); break;
-        case Op::kCall:
-          for (int r = 1; r <= 5; ++r) use(r);
-          for (int r = 0; r < isa::kNumRegs; ++r) {
-            if ((kCallerSavedMask & bit(r)) != 0) def(r);
-          }
-          break;
-        case Op::kCallR:
-        case Op::kJmpR:
-          use(ins.r1);
-          for (int r = 1; r <= 5; ++r) use(r);
-          if (ins.op == Op::kCallR) {
-            for (int r = 0; r < isa::kNumRegs; ++r) {
-              if ((kCallerSavedMask & bit(r)) != 0) def(r);
-            }
-          }
-          break;
-        case Op::kRet: use(0); break;
-        case Op::kSyscall:
-          use(0);
-          for (int r = 1; r <= 5; ++r) use(r);
-          def(0);
-          break;
-        default: break;
+      facts.use_mask |= isa::uses(ins) & ~facts.def_mask;
+      facts.def_mask |= isa::defs(ins);
+      std::optional<int64_t> d = isa::sp_delta(ins);
+      if (!d) {
+        facts.stack_delta = kUnknownDepth;  // SP escapes tracking
+      } else if (facts.stack_delta != kUnknownDepth) {
+        facts.stack_delta += *d;
       }
-      // SP written non-incrementally poisons the whole block's delta.
-      bool writes_sp =
-          (ins.op == Op::kMovRI || ins.op == Op::kMovRR || ins.op == Op::kLea ||
-           ins.op == Op::kLoad || ins.op == Op::kLoadB ||
-           ins.op == Op::kPop) &&
-          ins.r1 == isa::kSpReg;
-      if (ins.op == Op::kAddRI && ins.r1 == isa::kSpReg) {
-        bump(ins.imm);
-        writes_sp = false;
-      } else if (ins.op == Op::kSubRI && ins.r1 == isa::kSpReg) {
-        bump(-ins.imm);
-        writes_sp = false;
-      }
-      if (writes_sp && !(ins.op == Op::kPop && ins.r1 == isa::kSpReg)) {
-        // pop r15 both moves and overwrites SP; either way it is unknown.
-      }
-      if (writes_sp) facts.stack_delta = kUnknownDepth;
       cur += ins.length;
     }
     out.facts[boff] = facts;

@@ -11,11 +11,11 @@
 //    resolve PLT-stub and jump-table indirect transfers, and to attribute
 //    loads/stores to the data symbols they touch.
 //
-//  * Per-function facts (analyze_function): register def/use and liveness,
-//    net stack delta and entry stack depth per block (SP-relative tracking
-//    of kPush/kPop/kAddRI/kSubRI on r15), and block-level data dependences
-//    from reaching definitions — the raw material of the dependence graph
-//    and of cutcheck rules CC010/CC011.
+//  * Per-function facts (analyze_function): register def/use and liveness
+//    (the VX64_OPS def/use columns), net stack delta and entry stack depth
+//    per block (isa::sp_delta, shared with cutcheck CC010), and block-level
+//    data dependences from reaching definitions — the raw material of the
+//    dependence graph and of cutcheck rules CC010/CC011.
 //
 // Function entries always join an implicit all-unknown state (callers may
 // be invisible to static recovery), so nothing proved here depends on

@@ -57,7 +57,7 @@ using RemovalPolicy = analysis::cutcheck::Removal;
 /// What happens when blocked code is reached (paper §3.2.2).
 using TrapPolicy = analysis::cutcheck::Trap;
 
-/// How disabled code is reached-and-denied (ROADMAP item 3): kTrap pays a
+/// How disabled code is reached-and-denied (DESIGN §15): kTrap pays a
 /// SIGTRAP round-trip per entry, kStub retargets direct callsites and GOT
 /// slots to an injected deny stub (one branch, no signal; int3 stays as the
 /// safety net for non-callsite paths), kAuto stubs only entries the slicer

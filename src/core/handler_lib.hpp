@@ -55,7 +55,7 @@ std::shared_ptr<const melf::Binary> build_redirect_lib(size_t capacity);
 std::shared_ptr<const melf::Binary> build_verifier_lib(size_t capacity,
                                                        size_t log_capacity);
 
-/// Deny-stub library (ROADMAP item 3, trap-free cuts): `capacity` slot
+/// Deny-stub library (DESIGN §15, trap-free cuts): `capacity` slot
 /// records plus one tiny entry function per slot. A redirected callsite or
 /// GOT slot branches straight into its `dynacut_stub_<i>`, which bumps the
 /// slot's hit counter and then denies according to the host-written mode:

@@ -15,62 +15,40 @@ std::string reg_name(uint8_t r) {
   name += std::to_string(r);
   return name;
 }
+
+std::string mem_operand(uint8_t base, int64_t disp) {
+  std::string s = "[";  // appended, for the same GCC 12 -Wrestrict reason
+  s += reg_name(base);
+  s += disp >= 0 ? "+" : "";
+  s += std::to_string(disp);
+  s += "]";
+  return s;
+}
 }  // namespace
 
 std::string format_instr(const Instr& ins, uint64_t addr) {
   const std::string m = mnemonic(ins.op);
-  switch (ins.op) {
-    case Op::kMovRI:
+  switch (op_info(ins.op).format) {
+    case Format::kNone:
+      return m;
+    case Format::kReg:
+      return m + " " + reg_name(ins.r1);
+    case Format::kRegReg:
+      return m + " " + reg_name(ins.r1) + ", " + reg_name(ins.r2);
+    case Format::kRegImm8:
+    case Format::kRegImm32:
+      return m + " " + reg_name(ins.r1) + ", " + std::to_string(ins.imm);
+    case Format::kRegImm64:
       return m + " " + reg_name(ins.r1) + ", " +
              hex_addr(static_cast<uint64_t>(ins.imm));
-    case Op::kMovRR:
-    case Op::kAddRR:
-    case Op::kSubRR:
-    case Op::kMulRR:
-    case Op::kDivRR:
-    case Op::kAndRR:
-    case Op::kOrRR:
-    case Op::kXorRR:
-    case Op::kCmpRR:
-      return m + " " + reg_name(ins.r1) + ", " + reg_name(ins.r2);
-    case Op::kLoad:
-    case Op::kLoadB:
-      return m + " " + reg_name(ins.r1) + ", [" + reg_name(ins.r2) +
-             (ins.imm >= 0 ? "+" : "") + std::to_string(ins.imm) + "]";
-    case Op::kStore:
-    case Op::kStoreB:
-      return m + " [" + reg_name(ins.r1) + (ins.imm >= 0 ? "+" : "") +
-             std::to_string(ins.imm) + "], " + reg_name(ins.r2);
-    case Op::kAddRI:
-    case Op::kSubRI:
-    case Op::kCmpRI:
-      return m + " " + reg_name(ins.r1) + ", " + std::to_string(ins.imm);
-    case Op::kShlRI:
-    case Op::kShrRI:
-      return m + " " + reg_name(ins.r1) + ", " + std::to_string(ins.imm);
-    case Op::kJmp:
-    case Op::kJe:
-    case Op::kJne:
-    case Op::kJlt:
-    case Op::kJle:
-    case Op::kJgt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-    case Op::kCall:
-      return m + " " + hex_addr(ins.target(addr));
-    case Op::kCallR:
-    case Op::kJmpR:
-    case Op::kPush:
-    case Op::kPop:
-      return m + " " + reg_name(ins.r1);
-    case Op::kLea:
+    case Format::kRegRel32:
       return m + " " + reg_name(ins.r1) + ", " + hex_addr(ins.target(addr));
-    case Op::kRet:
-    case Op::kSyscall:
-    case Op::kNop:
-    case Op::kTrap:
-      return m;
+    case Format::kRegMem:
+      return m + " " + reg_name(ins.r1) + ", " + mem_operand(ins.r2, ins.imm);
+    case Format::kMemReg:
+      return m + " " + mem_operand(ins.r1, ins.imm) + ", " + reg_name(ins.r2);
+    case Format::kRel32:
+      return m + " " + hex_addr(ins.target(addr));
   }
   return "(bad)";
 }

@@ -120,16 +120,11 @@ size_t Encoder::trap() { return op0(Op::kTrap); }
 
 void Encoder::patch_rel32(size_t instr_offset, int32_t rel) {
   DYNACUT_ASSERT(instr_offset < out_.size());
-  uint8_t byte = out_[instr_offset];
-  Op op = static_cast<Op>(byte);
-  size_t field;
-  if (is_direct_transfer(op)) {
-    field = instr_offset + 1;
-  } else if (op == Op::kLea) {
-    field = instr_offset + 2;
-  } else {
+  const Format f = op_info(static_cast<Op>(out_[instr_offset])).format;
+  if (f != Format::kRel32 && f != Format::kRegRel32) {
     throw StateError("patch_rel32 on non-relative instruction");
   }
+  const size_t field = instr_offset + format_length(f) - 4;  // last field
   DYNACUT_ASSERT(field + 4 <= out_.size());
   std::memcpy(out_.data() + field, &rel, 4);
 }

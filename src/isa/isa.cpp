@@ -8,193 +8,62 @@ namespace dynacut::isa {
 
 namespace {
 
-struct OpInfo {
-  uint8_t length;
-  const char* name;
-};
-
-/// Indexed by opcode byte; length 0 marks invalid opcodes.
-const OpInfo* op_table() {
-  static OpInfo table[256] = {};
-  static bool init = [] {
-    auto set = [&](Op op, uint8_t len, const char* name) {
-      table[static_cast<uint8_t>(op)] = {len, name};
-    };
-    set(Op::kMovRI, 10, "mov");
-    set(Op::kMovRR, 3, "mov");
-    set(Op::kLoad, 7, "load");
-    set(Op::kStore, 7, "store");
-    set(Op::kLoadB, 7, "loadb");
-    set(Op::kStoreB, 7, "storeb");
-    set(Op::kAddRR, 3, "add");
-    set(Op::kAddRI, 6, "add");
-    set(Op::kSubRR, 3, "sub");
-    set(Op::kSubRI, 6, "sub");
-    set(Op::kMulRR, 3, "mul");
-    set(Op::kDivRR, 3, "div");
-    set(Op::kAndRR, 3, "and");
-    set(Op::kOrRR, 3, "or");
-    set(Op::kXorRR, 3, "xor");
-    set(Op::kShlRI, 3, "shl");
-    set(Op::kShrRI, 3, "shr");
-    set(Op::kCmpRR, 3, "cmp");
-    set(Op::kCmpRI, 6, "cmp");
-    set(Op::kJmp, 5, "jmp");
-    set(Op::kJe, 5, "je");
-    set(Op::kJne, 5, "jne");
-    set(Op::kJlt, 5, "jlt");
-    set(Op::kJle, 5, "jle");
-    set(Op::kJgt, 5, "jgt");
-    set(Op::kJge, 5, "jge");
-    set(Op::kJb, 5, "jb");
-    set(Op::kJae, 5, "jae");
-    set(Op::kCall, 5, "call");
-    set(Op::kRet, 1, "ret");
-    set(Op::kCallR, 2, "callr");
-    set(Op::kJmpR, 2, "jmpr");
-    set(Op::kPush, 2, "push");
-    set(Op::kPop, 2, "pop");
-    set(Op::kSyscall, 1, "syscall");
-    set(Op::kLea, 6, "lea");
-    set(Op::kNop, 1, "nop");
-    set(Op::kTrap, 1, "trap");
-    return true;
-  }();
-  (void)init;
-  return table;
-}
-
-int32_t read_i32(std::span<const uint8_t> p) {
-  int32_t v;
-  std::memcpy(&v, p.data(), sizeof v);
-  return v;
-}
-
-int64_t read_i64(std::span<const uint8_t> p) {
-  int64_t v;
+template <class T>
+int64_t read_le(std::span<const uint8_t> p) {
+  T v;
   std::memcpy(&v, p.data(), sizeof v);
   return v;
 }
 
 }  // namespace
 
-bool valid_opcode(uint8_t byte) { return op_table()[byte].length != 0; }
-
-uint8_t instr_length(uint8_t opcode_byte) {
-  return op_table()[opcode_byte].length;
-}
-
-bool is_terminator(Op op) {
-  switch (op) {
-    case Op::kJmp:
-    case Op::kJe:
-    case Op::kJne:
-    case Op::kJlt:
-    case Op::kJle:
-    case Op::kJgt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-    case Op::kCall:
-    case Op::kRet:
-    case Op::kCallR:
-    case Op::kJmpR:
-    case Op::kSyscall:
-    case Op::kTrap:
-      return true;
-    default:
-      return false;
+std::optional<int64_t> sp_delta(const Instr& ins) {
+  const bool on_sp = ins.r1 == kSpReg;
+  if (op_class(ins.op) == OpClass::kPush) return -8;
+  if (op_class(ins.op) == OpClass::kPop) {
+    return on_sp ? std::nullopt : std::optional<int64_t>(8);
   }
-}
-
-bool is_cond_branch(Op op) {
-  switch (op) {
-    case Op::kJe:
-    case Op::kJne:
-    case Op::kJlt:
-    case Op::kJle:
-    case Op::kJgt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_direct_transfer(Op op) {
-  return op == Op::kJmp || op == Op::kCall || is_cond_branch(op);
+  if (on_sp && ins.op == Op::kAddRI) return ins.imm;
+  if (on_sp && ins.op == Op::kSubRI) return -ins.imm;
+  if ((defs(ins) & (1u << kSpReg)) != 0) return std::nullopt;
+  return 0;
 }
 
 std::optional<Instr> try_decode(std::span<const uint8_t> code) {
   if (code.empty()) return std::nullopt;
-  uint8_t byte = code[0];
-  uint8_t len = instr_length(byte);
-  if (len == 0 || code.size() < len) return std::nullopt;
+  const OpInfo& info = kOpTable[code[0]];
+  if (info.length == 0 || code.size() < info.length) return std::nullopt;
 
   Instr ins;
-  ins.op = static_cast<Op>(byte);
-  ins.length = len;
-  switch (ins.op) {
-    case Op::kMovRI:
-      ins.r1 = code[1] & 0x0f;
-      ins.imm = read_i64(code.subspan(2));
+  ins.op = static_cast<Op>(code[0]);
+  ins.length = info.length;
+  if (info.format != Format::kNone && info.format != Format::kRel32) {
+    ins.r1 = code[1] & 0x0f;
+  }
+  switch (info.format) {
+    case Format::kNone:
+    case Format::kReg:
       break;
-    case Op::kMovRR:
-    case Op::kAddRR:
-    case Op::kSubRR:
-    case Op::kMulRR:
-    case Op::kDivRR:
-    case Op::kAndRR:
-    case Op::kOrRR:
-    case Op::kXorRR:
-    case Op::kCmpRR:
-      ins.r1 = code[1] & 0x0f;
+    case Format::kRegReg:
       ins.r2 = code[2] & 0x0f;
       break;
-    case Op::kLoad:
-    case Op::kLoadB:
-    case Op::kStore:
-    case Op::kStoreB:
-      ins.r1 = code[1] & 0x0f;
-      ins.r2 = code[2] & 0x0f;
-      ins.imm = read_i32(code.subspan(3));
-      break;
-    case Op::kAddRI:
-    case Op::kSubRI:
-    case Op::kCmpRI:
-    case Op::kLea:
-      ins.r1 = code[1] & 0x0f;
-      ins.imm = read_i32(code.subspan(2));
-      break;
-    case Op::kShlRI:
-    case Op::kShrRI:
-      ins.r1 = code[1] & 0x0f;
+    case Format::kRegImm8:
       ins.imm = code[2];
       break;
-    case Op::kJmp:
-    case Op::kJe:
-    case Op::kJne:
-    case Op::kJlt:
-    case Op::kJle:
-    case Op::kJgt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-    case Op::kCall:
-      ins.imm = read_i32(code.subspan(1));
+    case Format::kRegImm32:
+    case Format::kRegRel32:
+      ins.imm = read_le<int32_t>(code.subspan(2));
       break;
-    case Op::kCallR:
-    case Op::kJmpR:
-    case Op::kPush:
-    case Op::kPop:
-      ins.r1 = code[1] & 0x0f;
+    case Format::kRegImm64:
+      ins.imm = read_le<int64_t>(code.subspan(2));
       break;
-    case Op::kRet:
-    case Op::kSyscall:
-    case Op::kNop:
-    case Op::kTrap:
+    case Format::kRegMem:
+    case Format::kMemReg:
+      ins.r2 = code[2] & 0x0f;
+      ins.imm = read_le<int32_t>(code.subspan(3));
+      break;
+    case Format::kRel32:
+      ins.imm = read_le<int32_t>(code.subspan(1));
       break;
   }
   return ins;
@@ -212,7 +81,7 @@ Instr decode(std::span<const uint8_t> code) {
 }
 
 std::string mnemonic(Op op) {
-  const char* name = op_table()[static_cast<uint8_t>(op)].name;
+  const char* name = op_info(op).mnemonic;
   return name ? name : "(bad)";
 }
 

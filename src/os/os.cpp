@@ -707,7 +707,6 @@ uint64_t Os::do_fork(Process& parent) {
 void Os::do_syscall(Process& p) {
   auto& r = p.cpu.regs;
   const uint64_t num = r[0];
-  if (syscall_hook_) syscall_hook_(p, num);
   const uint64_t a1 = r[1], a2 = r[2], a3 = r[3];
   Core& core = cores_[p.core];
   core.clock += costs_.base;

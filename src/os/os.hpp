@@ -206,13 +206,6 @@ class Os {
     nudge_hook_ = std::move(hook);
   }
 
-  /// Invoked before every syscall executes (args still in registers).
-  /// Powers the paper's §5 future-work extension: inferring the end of the
-  /// initialization phase from syscall activity (see trace::PhaseDetector).
-  void set_syscall_hook(std::function<void(const Process&, uint64_t)> hook) {
-    syscall_hook_ = std::move(hook);
-  }
-
   /// Wires the observability event bus in (non-owning; nullptr detaches).
   /// The OS emits `trap.hit` for every SIGTRAP it dispatches — pid, address,
   /// owning core and whether a handler took it or the process was killed —
@@ -260,7 +253,6 @@ class Os {
   BlockSink* sink_ = nullptr;
   std::vector<std::pair<int, uint64_t>> nudges_;
   std::function<void(const Process&, uint64_t)> nudge_hook_;
-  std::function<void(const Process&, uint64_t)> syscall_hook_;
   obs::EventBus* bus_ = nullptr;
   SyscallCosts costs_;
   bool yielded_ = false;

@@ -32,44 +32,4 @@ struct Cpu {
   }
 };
 
-// Flag/branch semantics shared by every execution engine (the single-step
-// interpreter in exec.cpp and the superblock dispatcher in superblock.cpp).
-// One definition so a fused trace can never disagree with the interpreter
-// about whether a branch is taken.
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline void set_flags(Cpu& cpu, uint64_t a, uint64_t b) {
-  cpu.zf = a == b;
-  cpu.lt_u = a < b;
-  cpu.lt_s = static_cast<int64_t>(a) < static_cast<int64_t>(b);
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline bool branch_taken(const Cpu& cpu, isa::Op op) {
-  switch (op) {
-    case isa::Op::kJe:
-      return cpu.zf;
-    case isa::Op::kJne:
-      return !cpu.zf;
-    case isa::Op::kJlt:
-      return cpu.lt_s;
-    case isa::Op::kJle:
-      return cpu.lt_s || cpu.zf;
-    case isa::Op::kJgt:
-      return !cpu.lt_s && !cpu.zf;
-    case isa::Op::kJge:
-      return !cpu.lt_s;
-    case isa::Op::kJb:
-      return cpu.lt_u;
-    case isa::Op::kJae:
-      return !cpu.lt_u;
-    default:
-      return true;  // kJmp
-  }
-}
-
 }  // namespace dynacut::vm

@@ -1,214 +1,90 @@
 #include "vm/exec.hpp"
 
 #include <algorithm>
-#include <cstring>
 
+#include "vm/ops.hpp"
 #include "vm/superblock.hpp"
 
 namespace dynacut::vm {
 
-namespace {
-
 using isa::Instr;
 using isa::Op;
 
-/// Fetches and decodes the instruction at `ip` from raw page bytes. Returns
-/// fault info on unmapped/non-executable memory or an invalid encoding.
 StepResult fetch(const AddressSpace& mem, uint64_t ip, Instr& out) {
   // Fast path: speculatively read a maximal instruction in one go — almost
   // always hits the cached page.
-  uint8_t fast[isa::kMaxInstrLength];
-  if (mem.read(ip, fast, sizeof fast, kProtExec).ok) {
-    auto ins = isa::try_decode(fast);
-    if (!ins) return {StepKind::kFault, FaultType::kIll, ip, false};
-    out = *ins;
-    return {StepKind::kOk, FaultType::kNone, 0, false};
-  }
-
-  uint8_t opcode;
-  Access a = mem.read(ip, &opcode, 1, kProtExec);
-  if (!a.ok) return {StepKind::kFault, FaultType::kSegv, a.fault_addr, false};
-  uint8_t len = isa::instr_length(opcode);
-  if (len == 0) return {StepKind::kFault, FaultType::kIll, ip, false};
-  uint8_t buf[16];
-  buf[0] = opcode;
-  if (len > 1) {
-    a = mem.read(ip + 1, buf + 1, len - 1, kProtExec);
-    if (!a.ok) {
-      return {StepKind::kFault, FaultType::kSegv, a.fault_addr, false};
+  uint8_t buf[isa::kMaxInstrLength];
+  uint8_t len = sizeof buf;
+  if (!mem.read(ip, buf, len, kProtExec).ok) {
+    // Near an unreadable page: the opcode, then exactly the rest.
+    Access a = mem.read(ip, buf, 1, kProtExec);
+    if (a.ok) {
+      len = isa::instr_length(buf[0]);
+      if (len == 0) return {StepKind::kFault, FaultType::kIll, ip, false};
+      if (len > 1) a = mem.read(ip + 1, buf + 1, len - 1, kProtExec);
     }
+    if (!a.ok) return {StepKind::kFault, FaultType::kSegv, a.fault_addr, false};
   }
   auto ins = isa::try_decode({buf, len});
   if (!ins) return {StepKind::kFault, FaultType::kIll, ip, false};
   out = *ins;
-  return {StepKind::kOk, FaultType::kNone, 0, false};
+  return {};
 }
 
-// set_flags / branch_taken live in cpu.hpp, shared with the superblock
-// dispatcher so the two engines can never disagree on branch semantics.
+namespace {
+
+VX_INLINE StepResult retire(Cpu& cpu, const Instr& ins, ops::Fault f) {
+  if (f) return {StepKind::kFault, f.type, f.addr, false};
+  cpu.ip += ins.length;
+  return {};
+}
+
+VX_INLINE StepResult transfer(Cpu& cpu, ops::Fault f, uint64_t to) {
+  if (f) return {StepKind::kFault, f.type, f.addr, false};
+  cpu.ip = to;
+  return {StepKind::kOk, FaultType::kNone, 0, true};
+}
+
+// Interpreter control per op class: where ip goes once the op's semantic
+// function ran, and which results end a basic block.
+#define EX_kAlu(name) return retire(cpu, ins, ops::name(cpu, r, ins));
+#define EX_kNop EX_kAlu
+#define EX_kLoad(name) return retire(cpu, ins, ops::name(mem, r, ins));
+#define EX_kStore EX_kLoad
+#define EX_kPush EX_kLoad
+#define EX_kPop EX_kLoad
+#define EX_kCondBranch(name)                                          \
+  cpu.ip = ops::name(cpu) ? ins.target(cpu.ip) : cpu.ip + ins.length; \
+  return {StepKind::kOk, FaultType::kNone, 0, true};
+#define EX_kJump EX_kCondBranch
+#define EX_kCall(name)                                  \
+  const ops::Fault f = ops::name(mem, cpu, r, ins, to); \
+  return transfer(cpu, f, to);
+#define EX_kCallR EX_kCall
+#define EX_kRet EX_kCall
+#define EX_kJmpR EX_kCall
+#define EX_kSyscall(name) \
+  cpu.ip += ins.length;   \
+  return {StepKind::kSyscall, FaultType::kNone, 0, true};
+// ip intentionally NOT advanced: the signal frame records the trap address
+// so a handler can patch/redirect and re-execute.
+#define EX_kTrap(name) return {StepKind::kTrap, FaultType::kNone, cpu.ip, true};
 
 /// Executes one already-decoded instruction at cpu.ip. Force-inlined into
 /// the step/run_block loops: the call overhead is measurable at the
 /// instructions-per-second scale even in unoptimized builds.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-inline StepResult
-execute(AddressSpace& mem, Cpu& cpu, const Instr& ins) {
-  const uint64_t next_ip = cpu.ip + ins.length;
-  auto& r = cpu.regs;
-  StepResult result;
-  result.block_end = isa::is_terminator(ins.op);
-
-  auto segv = [&](uint64_t addr) {
-    return StepResult{StepKind::kFault, FaultType::kSegv, addr, false};
-  };
-
+VX_INLINE StepResult execute(AddressSpace& mem, Cpu& cpu, const Instr& ins) {
+  uint64_t* const r = cpu.regs.data();
+  uint64_t to = 0;
   switch (ins.op) {
-    case Op::kMovRI:
-      r[ins.r1] = static_cast<uint64_t>(ins.imm);
-      break;
-    case Op::kMovRR:
-      r[ins.r1] = r[ins.r2];
-      break;
-    case Op::kLoad: {
-      uint64_t v;
-      Access a = mem.read(r[ins.r2] + ins.imm, &v, 8, kProtRead);
-      if (!a.ok) return segv(a.fault_addr);
-      r[ins.r1] = v;
-      break;
-    }
-    case Op::kStore: {
-      Access a = mem.write(r[ins.r1] + ins.imm, &r[ins.r2], 8, kProtWrite);
-      if (!a.ok) return segv(a.fault_addr);
-      break;
-    }
-    case Op::kLoadB: {
-      uint8_t v;
-      Access a = mem.read(r[ins.r2] + ins.imm, &v, 1, kProtRead);
-      if (!a.ok) return segv(a.fault_addr);
-      r[ins.r1] = v;
-      break;
-    }
-    case Op::kStoreB: {
-      uint8_t v = static_cast<uint8_t>(r[ins.r2]);
-      Access a = mem.write(r[ins.r1] + ins.imm, &v, 1, kProtWrite);
-      if (!a.ok) return segv(a.fault_addr);
-      break;
-    }
-    case Op::kAddRR:
-      r[ins.r1] += r[ins.r2];
-      break;
-    case Op::kAddRI:
-      r[ins.r1] += static_cast<uint64_t>(ins.imm);
-      break;
-    case Op::kSubRR:
-      r[ins.r1] -= r[ins.r2];
-      break;
-    case Op::kSubRI:
-      r[ins.r1] -= static_cast<uint64_t>(ins.imm);
-      break;
-    case Op::kMulRR:
-      r[ins.r1] *= r[ins.r2];
-      break;
-    case Op::kDivRR:
-      if (r[ins.r2] == 0) {
-        return {StepKind::kFault, FaultType::kFpe, cpu.ip, false};
-      }
-      r[ins.r1] /= r[ins.r2];
-      break;
-    case Op::kAndRR:
-      r[ins.r1] &= r[ins.r2];
-      break;
-    case Op::kOrRR:
-      r[ins.r1] |= r[ins.r2];
-      break;
-    case Op::kXorRR:
-      r[ins.r1] ^= r[ins.r2];
-      break;
-    case Op::kShlRI:
-      r[ins.r1] <<= (ins.imm & 63);
-      break;
-    case Op::kShrRI:
-      r[ins.r1] >>= (ins.imm & 63);
-      break;
-    case Op::kCmpRR:
-      set_flags(cpu, r[ins.r1], r[ins.r2]);
-      break;
-    case Op::kCmpRI:
-      set_flags(cpu, r[ins.r1], static_cast<uint64_t>(ins.imm));
-      break;
-    case Op::kJmp:
-    case Op::kJe:
-    case Op::kJne:
-    case Op::kJlt:
-    case Op::kJle:
-    case Op::kJgt:
-    case Op::kJge:
-    case Op::kJb:
-    case Op::kJae:
-      cpu.ip = branch_taken(cpu, ins.op) ? ins.target(cpu.ip) : next_ip;
-      return result;
-    case Op::kCall: {
-      uint64_t ra = next_ip;
-      cpu.sp() -= 8;
-      Access a = mem.write(cpu.sp(), &ra, 8, kProtWrite);
-      if (!a.ok) return segv(a.fault_addr);
-      cpu.ip = ins.target(cpu.ip);
-      return result;
-    }
-    case Op::kCallR: {
-      uint64_t ra = next_ip;
-      cpu.sp() -= 8;
-      Access a = mem.write(cpu.sp(), &ra, 8, kProtWrite);
-      if (!a.ok) return segv(a.fault_addr);
-      cpu.ip = r[ins.r1];
-      return result;
-    }
-    case Op::kRet: {
-      uint64_t ra;
-      Access a = mem.read(cpu.sp(), &ra, 8, kProtRead);
-      if (!a.ok) return segv(a.fault_addr);
-      cpu.sp() += 8;
-      cpu.ip = ra;
-      return result;
-    }
-    case Op::kJmpR:
-      cpu.ip = r[ins.r1];
-      return result;
-    case Op::kPush: {
-      cpu.sp() -= 8;
-      Access a = mem.write(cpu.sp(), &r[ins.r1], 8, kProtWrite);
-      if (!a.ok) return segv(a.fault_addr);
-      break;
-    }
-    case Op::kPop: {
-      uint64_t v;
-      Access a = mem.read(cpu.sp(), &v, 8, kProtRead);
-      if (!a.ok) return segv(a.fault_addr);
-      cpu.sp() += 8;
-      r[ins.r1] = v;
-      break;
-    }
-    case Op::kSyscall:
-      cpu.ip = next_ip;
-      result.kind = StepKind::kSyscall;
-      return result;
-    case Op::kTrap:
-      // ip intentionally NOT advanced: the signal frame records the trap
-      // address so a handler can patch/redirect and re-execute.
-      result.kind = StepKind::kTrap;
-      result.fault_addr = cpu.ip;
-      return result;
-    case Op::kLea:
-      r[ins.r1] = ins.target(cpu.ip);
-      break;
-    case Op::kNop:
-      break;
+#define EX_CASE(name, byte, mn, fmt, cls, ...) \
+  case Op::name: {                             \
+    EX_##cls(name)                             \
   }
-
-  cpu.ip = next_ip;
-  return result;
+    VX64_OPS(EX_CASE)
+#undef EX_CASE
+  }
+  return {StepKind::kFault, FaultType::kIll, cpu.ip, false};
 }
 
 }  // namespace
@@ -258,15 +134,9 @@ DecodeCache::PageEntry* DecodeCache::entry_for(const AddressSpace& mem,
 }
 
 bool DecodeCache::fill_slot(const AddressSpace& mem, uint64_t ip, Slot& s) {
-  uint8_t buf[isa::kMaxInstrLength];
-  if (!mem.read(ip, buf, sizeof buf, kProtExec).ok) return false;
-  auto ins = isa::try_decode(buf);
-  if (!ins) {
-    s.state = kBad;
-  } else {
-    s.ins = *ins;
-    s.state = kValid;
-  }
+  const StepResult f = vm::fetch(mem, ip, s.ins);
+  if (f.fault == FaultType::kSegv) return false;
+  s.state = f.kind == StepKind::kOk ? kValid : kBad;
   return true;
 }
 
@@ -447,22 +317,16 @@ BlockInfo block_at(const AddressSpace& mem, uint64_t addr,
                    uint64_t max_bytes) {
   BlockInfo info;
   uint64_t cur = addr;
-  while (cur - addr < max_bytes) {
-    uint8_t buf[16];
-    Access a = mem.read(cur, buf, 1, kProtExec);
-    if (!a.ok) break;
-    uint8_t len = isa::instr_length(buf[0]);
-    if (len == 0) break;
-    if (len > 1 && !mem.read(cur + 1, buf + 1, len - 1, kProtExec).ok) break;
-    auto ins = isa::try_decode({buf, len});
-    if (!ins) break;
-    info.size = cur + len - addr;
+  Instr ins;
+  while (cur - addr < max_bytes &&
+         fetch(mem, cur, ins).kind == StepKind::kOk) {
+    cur += ins.length;
+    info.size = cur - addr;
     info.instr_count += 1;
-    if (isa::is_terminator(ins->op)) {
+    if (isa::is_terminator(ins.op)) {
       info.terminated = true;
       break;
     }
-    cur += len;
   }
   return info;
 }

@@ -38,6 +38,14 @@ struct StepResult {
 class DecodeCache;
 class SuperblockCache;
 
+/// Reads and decodes the instruction at `ip` from executable memory: one
+/// kMaxInstrLength read, else the opcode byte and then exactly the rest (an
+/// instruction may end right before an unreadable page). kFault with kSegv
+/// at the first unreadable byte, or kIll on an invalid encoding. Every
+/// decoder of guest memory (both VM tiers, block scans, the decode cache
+/// and the gadget scanner) reads through here.
+StepResult fetch(const AddressSpace& mem, uint64_t ip, isa::Instr& out);
+
 /// Executes exactly one instruction. Never throws on guest misbehaviour —
 /// all guest errors surface as kFault/kTrap results. With a cache, the
 /// fetch+decode is served from (and fills) the cache; without one it reads

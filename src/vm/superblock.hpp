@@ -130,6 +130,8 @@ class Superblock {
   /// address space's lifetime (AddressSpace::page_generation_slot).
   std::vector<std::pair<const uint64_t*, uint64_t>> pages_;
 };
+// The dispatch loop streams these; keep one op within 40 bytes.
+static_assert(sizeof(Superblock::ThreadedOp) <= 40);
 
 /// Per-process superblock cache. One per guest CPU, owned next to the
 /// DecodeCache (os::Process); pass it to run_block. Non-copyable for the

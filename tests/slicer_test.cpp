@@ -148,11 +148,20 @@ std::shared_ptr<const melf::Binary> build_data_pointer_guest() {
 
 /// f() has an error stub at depth 0 ("f_err") plus a block at depth -8
 /// ("f_site", inside a push/pop pair) and one at depth 0 ("f_deep").
-std::shared_ptr<const melf::Binary> build_stack_guest() {
+/// With `register_frame`, f_deep opens its frame with `mov r3, 16;
+/// sub sp, r3` instead of `push r12`: an SP write through a register op.
+std::shared_ptr<const melf::Binary> build_stack_guest(
+    bool register_frame = false) {
   ProgramBuilder b("stk");
   auto& f = b.func("f");
   f.cmp_ri(1, 0).je("err_lbl");
-  f.mark("f_deep").push(12).cmp_ri(1, 1).je("site").pop(12).ret();
+  f.mark("f_deep");
+  if (register_frame) {
+    f.mov_ri(3, 16).sub_rr(isa::kSpReg, 3);
+  } else {
+    f.push(12);
+  }
+  f.cmp_ri(1, 1).je("site").pop(12).ret();
   f.label("site").mark("f_site").pop(12).mov_ri(0, 1).ret();
   f.label("err_lbl").mark("f_err").mov_ri(0, 9).ret();
   b.set_entry("f");
@@ -210,6 +219,17 @@ TEST(DataflowTest, StackDepthsAndLiveness) {
   // The entry block compares r1 before writing it.
   EXPECT_TRUE(fd.facts.at(entry).use_mask & (1u << 1));
   EXPECT_TRUE(fd.live_in.at(entry) & (1u << 1));
+}
+
+TEST(DataflowTest, ShiftFoldsWithVmSemantics) {
+  ProgramBuilder b("shf");
+  b.func("go").mov_ri(1, 1).shl_ri(1, 70).jmpr(1);
+  b.set_entry("go");
+  melf::Binary bin = b.link();
+  slicer::SliceModel m = slicer::analyze(bin);
+  // The VM shifts by 70 & 63 = 6.
+  EXPECT_EQ(m.mdf.indirect_reg.at(bin.find_symbol("go")->value),
+            AbsVal::konst(64));
 }
 
 TEST(DataflowTest, ResolvableAccessesBecomeMemRefs) {
@@ -492,6 +512,28 @@ TEST(RuleStackImbalanceTest, RedirectAcrossFrameTrips) {
   EXPECT_EQ(rule_count(r, cutcheck::kRuleStackImbalance, Severity::kError),
             1u);
   EXPECT_TRUE(rule_mentions(r, cutcheck::kRuleStackImbalance, "depth"));
+}
+
+TEST(RuleStackImbalanceTest, RegisterSpWriteIsUntracked) {
+  auto bin = build_stack_guest(/*register_frame=*/true);
+  analysis::StaticCfg cfg = analysis::recover_cfg(*bin);
+  auto funcs = analysis::split_functions(cfg, *bin);
+  slicer::FuncDataflow fd = slicer::analyze_function(
+      *bin, cfg, funcs.at(bin->find_symbol("f")->value));
+  uint64_t deep = bin->find_symbol("f_deep")->value;
+  uint64_t site = bin->find_symbol("f_site")->value;
+  EXPECT_EQ(fd.facts.at(deep).stack_delta, slicer::kUnknownDepth);
+  EXPECT_EQ(fd.depth_in.at(site), slicer::kUnknownDepth);
+
+  CutPlan p = make_plan(bin, {{"stk", site, 1}}, Removal::kBlockFirstByte,
+                        Trap::kRedirect);
+  p.has_redirect = true;
+  p.redirect_offset = bin->find_symbol("f_err")->value;
+  CheckReport r = cutcheck::check_plan(p);
+  EXPECT_EQ(rule_count(r, cutcheck::kRuleStackImbalance, Severity::kWarning),
+            1u);
+  EXPECT_TRUE(
+      rule_mentions(r, cutcheck::kRuleStackImbalance, "cannot prove"));
 }
 
 TEST(RuleStackImbalanceTest, MatchingDepthDoesNotTrip) {
