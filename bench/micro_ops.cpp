@@ -52,7 +52,7 @@ void BM_Checkpoint(benchmark::State& state) {
     image::ProcessImage img =
         image::checkpoint(fx.vos, {.pid = fx.pid}).img;
 
-    benchmark::DoNotOptimize(img.pages.size());
+    benchmark::DoNotOptimize(img.mem.page_count());
     fx.vos.thaw(fx.pid);
   }
   state.SetLabel("minikv, ~4MB image");
@@ -117,7 +117,7 @@ void BM_ImageEncodeDecode(benchmark::State& state) {
   for (auto _ : state) {
     auto bytes = img.encode();
     image::ProcessImage back = image::ProcessImage::decode(bytes);
-    benchmark::DoNotOptimize(back.pages.size());
+    benchmark::DoNotOptimize(back.mem.page_count());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(img.encode().size()));
@@ -393,7 +393,8 @@ int run_ckpt_bench(uint64_t extra_pages, const std::string& out_path) {
   // place. The baseline is not refreshed, so each cycle sees the same
   // dirty set — a steady-state toggle.
   image::ProcessImage base_img = image::checkpoint(vos, {.pid = pid}).img;
-  image::Baseline baseline{base_img, vos.mem_epoch(pid)};
+  const image::BaselineMap baselines{
+      {pid, image::Baseline{base_img, vos.mem_epoch(pid)}}};
   image::restore(vos, {.pid = pid, .img = &base_img});
 
   image::CkptStats delta_ckpt;
@@ -402,7 +403,7 @@ int run_ckpt_bench(uint64_t extra_pages, const std::string& out_path) {
   for (int k = 0; k < kCycles; ++k) {
     dirty_working_set();
     auto [img, st] =
-        image::checkpoint(vos, {.pid = pid, .baseline = &baseline});
+        image::checkpoint(vos, {.pid = pid, .baselines = &baselines});
     delta_ckpt = st;
     delta_rst = image::restore(
         vos, {.pid = pid, .img = &img, .mode = image::RestoreMode::kDelta});
@@ -422,7 +423,7 @@ int run_ckpt_bench(uint64_t extra_pages, const std::string& out_path) {
   // The gate is on the freeze window — the virtual-time service
   // interruption the guest observes (the paper's metric). Host wall-clock
   // must merely not regress: the delta cycle still pays an O(pages)
-  // refcount-bump copy of the baseline page table, so its host win is
+  // refcount-bump copy of the live page table, so its host win is
   // bounded by map-node vs page-copy cost, not by the dirty ratio.
   double host_speedup = full_host_s / delta_host_s;
   double virtual_speedup = full_freeze_s / delta_freeze_s;

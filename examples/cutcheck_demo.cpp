@@ -5,8 +5,8 @@
 //   1. boot a tiny server and tracediff an unwanted feature (as quickstart)
 //   2. try three broken plans; each is rejected by a different rule:
 //        a. block starting mid-instruction            -> CC001-boundary
-//        b. duplicated blocks tricking the unmap page
-//           accounting into dropping live code        -> CC005-page-safety
+//        b. unmapping a page of PLT stubs that live
+//           code still calls                          -> CC005-page-safety
 //        c. redirect target in a different function   -> CC003-redirect
 //   3. preflight + apply the repaired plan, watch the feature answer
 //      through the error path, and re-enable it
@@ -29,8 +29,7 @@
 using namespace dynacut;
 
 // Same shape as the quickstart server ("A" -> "alpha", "B" -> "beta",
-// other -> "err"), plus a fat filler function so .text spans enough bytes
-// for the page-accounting demonstration to be about real code.
+// other -> "err").
 std::shared_ptr<const melf::Binary> build_demo_server() {
   namespace sys = os::sys;
   melf::ProgramBuilder b("demo");
@@ -54,10 +53,6 @@ std::shared_ptr<const melf::Binary> build_demo_server() {
   d.label("b").call("handle_b").jmp("send");
   d.label("e").mark("error_path").mov_sym(2, "err");
   d.label("send").mov_rr(1, 13).call_import("write_str").ret();
-
-  auto& f = b.func("filler");
-  for (int i = 0; i < 2200; ++i) f.nop();
-  f.ret();
 
   auto& m = b.func("main");
   m.sys(sys::kSocket).mov_rr(12, 0);
@@ -136,17 +131,13 @@ int main() {
   attempt(dc, "feature blocks with an off-by-one offset", skewed,
           core::RemovalPolicy::kBlockFirstByte, core::TrapPolicy::kTerminate);
 
-  // (b) The same coverage pasted together twice (no dedup) around the
-  // filler function. The rewriter's per-range page accounting sums the
-  // duplicates to a full page and unmaps it — dispatch/main live on that
-  // page and were never part of the plan.
-  uint64_t filler_off = bin->find_symbol("filler")->value;
-  core::FeatureSpec doubled;
-  doubled.name = "filler-doubled";
-  for (int copy = 0; copy < 2; ++copy) {
-    doubled.blocks.push_back({"demo", filler_off, 2048});
-  }
-  attempt(dc, "duplicated blocks vs. unmap page accounting", doubled,
+  // (b) Unmapping the page that holds the import stubs: dispatch and main
+  // still call recv_line and write_str through them.
+  core::FeatureSpec plt_page;
+  plt_page.name = "plt-page";
+  plt_page.blocks = {{"demo", bin->section(melf::SectionKind::kPlt)->offset,
+                      static_cast<uint32_t>(kPageSize)}};
+  attempt(dc, "unmapping the page of live PLT stubs", plt_page,
           core::RemovalPolicy::kUnmapPages, core::TrapPolicy::kTerminate);
 
   // (c) Redirecting feature B's traps into main: the handler would rewrite
@@ -159,7 +150,7 @@ int main() {
   attempt(dc, "redirect target outside the cut function", cross,
           core::RemovalPolicy::kBlockFirstByte, core::TrapPolicy::kRedirect);
 
-  // Repaired plan: correct offsets, deduplicated blocks, same-function
+  // Repaired plan: correct offsets, no page unmapping, same-function
   // redirect. preflight() shows what apply() will see, then the real run.
   core::FeatureSpec good;
   good.name = "B";

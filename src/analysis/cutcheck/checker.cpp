@@ -29,17 +29,10 @@ bool in_exec_section(const melf::Binary& bin, uint64_t off) {
   return false;
 }
 
-/// Applies the per-rule option knobs and the function/range enrichment one
-/// diagnostic at a time. Returns false when the rule is suppressed.
-bool emit_diag(CheckReport& report, const CheckOptions& opts,
-               const melf::Binary* bin, const char* rule, Severity sev,
-               const std::string& module, uint64_t off, std::string msg,
-               std::string hint, uint64_t end = 0) {
-  if (opts.suppress.count(rule) != 0) return false;
-  if (auto it = opts.severity_override.find(rule);
-      it != opts.severity_override.end()) {
-    sev = it->second;
-  }
+/// Adds one diagnostic, enriched with its enclosing function.
+void emit_diag(CheckReport& report, const melf::Binary* bin, const char* rule,
+               Severity sev, const std::string& module, uint64_t off,
+               std::string msg, std::string hint, uint64_t end = 0) {
   Diagnostic d{rule, sev, module, off, std::move(msg), std::move(hint)};
   d.end_offset = end;
   if (bin != nullptr) {
@@ -47,21 +40,18 @@ bool emit_diag(CheckReport& report, const CheckOptions& opts,
     if (fn != nullptr) d.function = fn->name;
   }
   report.add(std::move(d));
-  return true;
 }
 
 /// Everything the rules share, derived once per plan.
 struct Ctx {
-  Ctx(const CutPlan& p, const CheckOptions& o)
+  explicit Ctx(const CutPlan& p)
       : plan(p),
         bin(*p.binary),
-        opts(o),
         model(slicer::model_for(p.binary)),
         cfg(model->cfg) {}
 
   const CutPlan& plan;
   const melf::Binary& bin;
-  const CheckOptions& opts;
   /// The binary's shared analysis; `cfg` is its CFG.
   const std::shared_ptr<const slicer::SliceModel> model;
   const StaticCfg& cfg;
@@ -75,7 +65,7 @@ struct Ctx {
 
   void add(const char* rule, Severity sev, uint64_t off, std::string msg,
            std::string hint = "", uint64_t end = 0) {
-    emit_diag(report, opts, &bin, rule, sev, plan.module, off, std::move(msg),
+    emit_diag(report, &bin, rule, sev, plan.module, off, std::move(msg),
               std::move(hint), end);
   }
 
@@ -337,33 +327,10 @@ void check_reach_amp(Ctx& c, const slicer::SliceModel& m) {
 void check_page_safety(Ctx& c) {
   if (c.plan.removal != Removal::kUnmapPages) return;
 
+  // Every dropped page is one the plan's bytes cover entirely
+  // (covered_pages), so what can break is code around it.
   for (uint64_t page : c.dropped_pages) {
     uint64_t pend = page + kPageSize;
-
-    // The rewriter's per-range accounting sums range lengths per page, so
-    // overlapping or duplicate blocks can add up to kPageSize while the
-    // union of their bytes does not cover the page. Diff against the true
-    // byte coverage.
-    for (const auto& [gb, ge] : c.range_bytes.gaps(page, pend)) {
-      auto it = c.cfg.instr_starts.lower_bound(gb);
-      bool has_code = it != c.cfg.instr_starts.end() && *it < ge;
-      if (!has_code) has_code = c.cfg.block_containing(gb) != nullptr;
-      if (has_code) {
-        c.add(kRulePageSafety, Severity::kError, gb,
-              "page " + hex_addr(page) +
-                  " is dropped by per-range accounting, but [" +
-                  hex_addr(gb) + ", " + hex_addr(ge) +
-                  ") holds reachable code the plan never covered",
-              "deduplicate overlapping plan blocks or switch to "
-              "wipe-blocks");
-      } else {
-        c.add(kRulePageSafety, Severity::kWarning, gb,
-              "page " + hex_addr(page) + " is dropped with " +
-                  std::to_string(ge - gb) +
-                  " byte(s) at " + hex_addr(gb) +
-                  " not named by the plan (no code recovered there)");
-      }
-    }
 
     // A live block starting on an earlier page that runs into this page
     // falls off a cliff at the page boundary.
@@ -423,8 +390,6 @@ constexpr uint64_t kGadgetReach =
     kGadgetMaxInstrs * isa::kMaxInstrLength - 1;
 
 void check_gadget_delta(Ctx& c, const slicer::SliceModel& m) {
-  if (!c.opts.gadget_delta) return;
-
   std::vector<std::pair<uint64_t, uint64_t>> extents;  // code byte ranges
   for (const auto& sec : c.bin.sections) {
     if (is_exec_kind(sec.kind) && !sec.bytes.empty()) {
@@ -984,16 +949,16 @@ void check_stub_reversibility(Ctx& c, const slicer::StubPlan& sp) {
 
 }  // namespace
 
-CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
+CheckReport check_plan(const CutPlan& plan) {
   if (plan.binary == nullptr) {
     CheckReport r;
     if (plan.has_redirect) {
-      emit_diag(r, opts, nullptr, kRuleRedirect, Severity::kError,
+      emit_diag(r, nullptr, kRuleRedirect, Severity::kError,
                 plan.module, 0,
                 "redirect module '" + plan.module + "' is not loaded",
                 "load the module or drop the redirect");
     } else {
-      emit_diag(r, opts, nullptr, kRuleBoundary, Severity::kWarning,
+      emit_diag(r, nullptr, kRuleBoundary, Severity::kWarning,
                 plan.module, 0,
                 "module '" + plan.module +
                     "' is not loaded; the rewriter will silently skip its " +
@@ -1003,7 +968,7 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
     return r;
   }
 
-  Ctx c{plan, opts};
+  Ctx c{plan};
   c.ranges = plan.ranges();
   for (const auto& [off, size] : c.ranges) {
     c.range_starts.insert(off);
@@ -1018,7 +983,7 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
       break;
     case Removal::kUnmapPages:
       for (const auto& [off, size] : c.ranges) c.dead.add(off, off + size);
-      c.dropped_pages = accounted_full_pages(plan);
+      c.dropped_pages = covered_pages(c.range_bytes);
       for (uint64_t p : c.dropped_pages) {
         c.dropped_set.insert(p);
         c.dead.add(p, p + kPageSize);
@@ -1045,10 +1010,9 @@ CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts) {
   return std::move(c.report);
 }
 
-CheckReport check_plans(const std::vector<CutPlan>& plans,
-                        const CheckOptions& opts) {
+CheckReport check_plans(const std::vector<CutPlan>& plans) {
   CheckReport merged;
-  for (const auto& p : plans) merged.merge(check_plan(p, opts));
+  for (const auto& p : plans) merged.merge(check_plan(p));
   return merged;
 }
 

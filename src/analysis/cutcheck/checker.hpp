@@ -16,8 +16,8 @@
 //   CC003-redirect         redirect-target validity (same-function
 //                          restriction)
 //   CC004-reach-amp        dominator/call-graph reachability amplification
-//   CC005-page-safety      per-range page accounting vs. true byte coverage,
-//                          PLT stubs and GOT slots on dropped pages
+//   CC005-page-safety      live blocks running into dropped pages, PLT stubs
+//                          and GOT slots on dropped pages
 //   CC006-gadget-delta     simulated ROP-gadget-start change of the rewrite
 //   CC007-indirect-escape  resolved indirect transfers landing in removed
 //                          code; unresolved ones next to any cut
@@ -67,27 +67,11 @@ inline constexpr char kRuleStubReach[] = "CC012-stub-reach";
 inline constexpr char kRuleStubReachability[] = "CC013-stub-reachability";
 inline constexpr char kRuleStubReversibility[] = "CC014-stub-reversibility";
 
-struct CheckOptions {
-  /// Simulate the rewrite and diff gadget-start counts (CC006). The
-  /// simulation maps every executable section into a scratch address space
-  /// and rescans the windows around the changed bytes; disable for very hot
-  /// paths.
-  bool gadget_delta = true;
-
-  /// Rules (exact IDs, e.g. "CC007-indirect-escape") whose findings are
-  /// dropped entirely — per-fleet opt-outs while a rule is being tuned.
-  std::set<std::string> suppress;
-  /// Per-rule severity overrides — the staging knob: run a new rule
-  /// warn-only before letting it reject plans under CheckMode::kEnforce.
-  std::map<std::string, Severity> severity_override;
-};
-
 /// Verifies one module's cut plan. Never mutates anything; safe to call on
 /// a live system at any time.
-CheckReport check_plan(const CutPlan& plan, const CheckOptions& opts = {});
+CheckReport check_plan(const CutPlan& plan);
 
 /// Verifies every per-module plan of a feature and merges the reports.
-CheckReport check_plans(const std::vector<CutPlan>& plans,
-                        const CheckOptions& opts = {});
+CheckReport check_plans(const std::vector<CutPlan>& plans);
 
 }  // namespace dynacut::analysis::cutcheck

@@ -103,23 +103,16 @@ std::vector<std::pair<uint64_t, uint64_t>> ByteSet::gaps(uint64_t begin,
   return out;
 }
 
-std::vector<uint64_t> accounted_full_pages(const CutPlan& plan) {
-  std::map<uint64_t, uint64_t> covered;  // page -> accounted bytes
-  for (const auto& [off, size] : plan.ranges()) {
-    uint64_t cur = off;
-    uint64_t end = off + size;
-    while (cur < end) {
-      uint64_t page = page_floor(cur);
-      uint64_t chunk = std::min(end, page + kPageSize) - cur;
-      covered[page] += chunk;
-      cur += chunk;
+std::vector<uint64_t> covered_pages(const ByteSet& bytes) {
+  // Touching intervals are merged, so a page is covered entirely only
+  // inside one interval.
+  std::vector<uint64_t> pages;
+  for (const auto& [begin, end] : bytes.intervals()) {
+    for (uint64_t p = page_ceil(begin); p + kPageSize <= end; p += kPageSize) {
+      pages.push_back(p);
     }
   }
-  std::vector<uint64_t> full;
-  for (const auto& [page, bytes] : covered) {
-    if (bytes >= kPageSize) full.push_back(page);
-  }
-  return full;
+  return pages;
 }
 
 }  // namespace dynacut::analysis::cutcheck

@@ -85,8 +85,6 @@ struct CutPlan {
 };
 
 /// A merged, disjoint set of byte intervals — the exact bytes a plan kills.
-/// Used to contrast true coverage with the rewriter's per-range page
-/// accounting (which double-counts overlapping blocks).
 class ByteSet {
  public:
   /// Inserts [begin, end), merging with neighbours.
@@ -105,11 +103,10 @@ class ByteSet {
   std::map<uint64_t, uint64_t> iv_;  ///< begin -> end, disjoint, sorted
 };
 
-/// The pages Removal::kUnmapPages would drop for this plan — the same
-/// per-range accounting DynaCut::remove_blocks performs, overlap
-/// double-counting included, so the checker predicts exactly what the
-/// rewriter will do (CC005 exists precisely because this arithmetic can
-/// claim a page is "fully covered" when its bytes are not).
-std::vector<uint64_t> accounted_full_pages(const CutPlan& plan);
+/// The pages Removal::kUnmapPages drops: every page `bytes` covers
+/// entirely, ascending. DynaCut::remove_blocks unmaps exactly these and the
+/// checker reasons about exactly these, so duplicate or overlapping blocks
+/// can never drop a byte the plan does not name.
+std::vector<uint64_t> covered_pages(const ByteSet& bytes);
 
 }  // namespace dynacut::analysis::cutcheck

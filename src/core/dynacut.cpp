@@ -166,8 +166,8 @@ DynaCut::StubPlans DynaCut::plan_stub_redirection(const CutRequest& req) const {
 
 analysis::cutcheck::CheckReport DynaCut::preflight(
     const CutRequest& req) const {
-  auto report = analysis::cutcheck::check_plans(
-      plans_for(expanded_request(req)), req.check_options);
+  auto report =
+      analysis::cutcheck::check_plans(plans_for(expanded_request(req)));
   if (bus_ != nullptr) {
     for (const auto& d : report.diags) {
       bus_->emit(obs::Event(obs::ev::kCutcheckFinding)
@@ -183,8 +183,7 @@ analysis::cutcheck::CheckReport DynaCut::preflight(
 }
 
 void DynaCut::preflight_or_throw(const CutRequest& req) const {
-  CheckMode mode = req.check.value_or(check_mode_);
-  if (mode == CheckMode::kOff) return;
+  if (req.check.value_or(check_mode_) == CheckMode::kOff) return;
   auto report = preflight(req);
   for (const auto& d : report.diags) {
     using analysis::cutcheck::Severity;
@@ -194,14 +193,10 @@ void DynaCut::preflight_or_throw(const CutRequest& req) const {
       log_warn("cutcheck: " + d.format());
     }
   }
-  if (report.ok()) return;
-  if (mode == CheckMode::kEnforce) {
+  if (!report.ok()) {
     throw StateError("cutcheck rejected plan '" + req.feature.name + "':\n" +
                      report.format());
   }
-  log_warn("cutcheck: plan '" + req.feature.name + "' has " +
-           std::to_string(report.errors()) +
-           " error(s); applying anyway (warn mode)");
 }
 
 CustomizeReport DynaCut::disable_feature(const CutRequest& req) {
@@ -297,7 +292,7 @@ CustomizeReport DynaCut::transact(
       report.timing.checkpoint_ns +=
           ckpt.incremental ? model_.checkpoint_delta_cost(ckpt.pages_dumped)
                            : model_.checkpoint_cost(ckpt.pages_total);
-      report.edits.image_pages += img.pages.size();
+      report.edits.image_pages += ckpt.pages_total;
       report.edits.pages_dumped += ckpt.pages_dumped;
       report.edits.pages_shared += ckpt.pages_shared;
 
@@ -318,12 +313,11 @@ CustomizeReport DynaCut::transact(
     // Commit phase: restore every staged image; on failure commit() itself
     // rolls the group back to its pristine images.
     txn.commit(feature, faults_,
-               [&](const image::ProcessImage& img, const image::CkptStats&,
-                   const image::RestoreStats& rst) {
+               [&](const image::RestoreStats& rst) {
                  report.timing.restore_ns +=
                      rst.in_place
                          ? model_.restore_delta_cost(rst.pages_restored)
-                         : model_.restore_cost(img.pages.size());
+                         : model_.restore_cost(rst.pages_total);
                  report.edits.pages_restored += rst.pages_restored;
                });
   } catch (const Error& e) {
@@ -543,22 +537,15 @@ void DynaCut::remove_blocks(
       return;
 
     case RemovalPolicy::kUnmapPages: {
-      // Pages entirely covered by removed blocks can be dropped wholesale;
-      // partially covered pages get their covered bytes wiped instead.
-      std::map<uint64_t, uint64_t> covered;  // page -> covered bytes
-      for (const auto& [addr, size] : ranges) {
-        uint64_t cur = addr;
-        uint64_t end = addr + size;
-        while (cur < end) {
-          uint64_t page = page_floor(cur);
-          uint64_t chunk = std::min(end, page + kPageSize) - cur;
-          covered[page] += chunk;
-          cur += chunk;
-        }
-      }
+      // Pages the removed bytes cover entirely are dropped wholesale — the
+      // pages cutcheck's CC005 reasons about (module bases are page
+      // aligned); partially covered pages get their covered bytes wiped.
+      analysis::cutcheck::ByteSet removed;
+      for (const auto& [addr, size] : ranges) removed.add(addr, addr + size);
+      const std::vector<uint64_t> full =
+          analysis::cutcheck::covered_pages(removed);
       auto page_full = [&](uint64_t page) {
-        auto it = covered.find(page);
-        return it != covered.end() && it->second >= kPageSize;
+        return std::binary_search(full.begin(), full.end(), page);
       };
 
       // Wipe the partial-page fragments of every block.
@@ -582,16 +569,15 @@ void DynaCut::remove_blocks(
       }
 
       // Drop the fully covered pages (content saved for re-enable).
-      for (const auto& [page, bytes] : covered) {
-        if (bytes < kPageSize) continue;
-        const image::VmaImage* vma = img.vma_at(page);
+      for (uint64_t page : full) {
+        const vm::Vma* vma = img.mem.vma_at(page);
         if (vma == nullptr) continue;
         AppliedEdit e;
         e.unmapped = true;
         e.vma_prot = vma->prot;
         e.vma_name = vma->name;
         e.patch.vaddr = page;
-        e.patch.original = img.read_bytes(page, kPageSize);
+        e.patch.original = img.mem.peek_bytes(page, kPageSize);
         rewriter.unmap_pages(page, kPageSize);
         edits.push_back(std::move(e));
         ++report.edits.pages_unmapped;
@@ -610,7 +596,7 @@ void DynaCut::inject_once(
   std::shared_ptr<const melf::Binary> lib = build();
   const size_t relocs_before = rewriter.relocs_applied();
   rewriter.inject_library(
-      lib, hint == 0 ? 0 : img.find_free(lib->image_size(), hint));
+      lib, hint == 0 ? 0 : img.mem.find_free(lib->image_size(), hint));
   report.timing.inject_ns +=
       model_.inject_cost(rewriter.relocs_applied() - relocs_before);
 }
@@ -750,9 +736,9 @@ CustomizeReport DynaCut::restore_feature(const std::string& name) {
     const std::vector<AppliedEdit>& edits = recorded.at(pid);
     for (auto e = edits.rbegin(); e != edits.rend(); ++e) {
       if (e->unmapped) {
-        img.add_vma(e->patch.vaddr, e->patch.original.size(), e->vma_prot,
+        img.mem.map(e->patch.vaddr, e->patch.original.size(), e->vma_prot,
                     e->vma_name);
-        img.write_bytes(e->patch.vaddr, e->patch.original);
+        img.mem.poke_bytes(e->patch.vaddr, e->patch.original);
         ++report.edits.pages_unmapped;
       } else {
         rewriter.undo(e->patch);

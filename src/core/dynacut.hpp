@@ -67,7 +67,6 @@ using CutMechanism = analysis::cutcheck::Mechanism;
 /// What DynaCut does with cutcheck findings before rewriting an image.
 enum class CheckMode {
   kEnforce,  ///< reject plans with kError findings (StateError); default
-  kWarn,     ///< log findings, apply anyway
   kOff,      ///< skip the verifier entirely
 };
 
@@ -98,9 +97,6 @@ struct CutRequest {
   /// Per-request override of the instance-wide CheckMode; unset uses
   /// DynaCut::check_mode().
   std::optional<CheckMode> check;
-  /// Per-rule cutcheck knobs (suppression, severity overrides); applied to
-  /// preflight() and the enforce gate alike.
-  analysis::cutcheck::CheckOptions check_options;
   /// Grow the feature's blocks to their static slice before planning
   /// (analysis::slicer::feature_slice): blocks dominated by the cut and
   /// functions only the cut calls join the plan, so the cut removes the
@@ -174,7 +170,6 @@ class DynaCut {
   DynaCut(const DynaCut&) = delete;
   DynaCut& operator=(const DynaCut&) = delete;
 
-  void set_check_mode(CheckMode mode) { check_mode_ = mode; }
   CheckMode check_mode() const { return check_mode_; }
 
   /// Selects the checkpoint/restore strategy. kIncremental (default) keeps

@@ -170,7 +170,8 @@ uint64_t append_records(image::ProcessImage& img, const GuestTable& t,
                      " is not injected");
   }
   const TableAddrs at = locate(*lib->binary, lib->base, t);
-  const uint64_t n = img.read_u64(at.count_addr);
+  uint64_t n = 0;
+  img.mem.peek(at.count_addr, &n, 8);
   const uint64_t added = words.size() / record_words;
   // n is guest-written: test it on its own before subtracting, so no
   // count can wrap the bound or turn into an address outside the table.
@@ -181,11 +182,12 @@ uint64_t append_records(image::ProcessImage& img, const GuestTable& t,
   }
   for (uint64_t i = 0; i < added; ++i) {
     for (size_t w = 0; w < record_words; ++w) {
-      img.write_u64(at.records_addr + (n + i) * t.record_bytes + w * 8,
-                    words[i * record_words + w]);
+      img.mem.poke(at.records_addr + (n + i) * t.record_bytes + w * 8,
+                   &words[i * record_words + w], 8);
     }
   }
-  img.write_u64(at.count_addr, n + added);
+  const uint64_t count = n + added;
+  img.mem.poke(at.count_addr, &count, 8);
   return n;
 }
 

@@ -86,7 +86,7 @@ void GroupTxn::commit(const std::string& feature, FaultPlan* faults,
                 .with("incremental", static_cast<uint64_t>(e.ckpt.incremental))
                 .with("in_place", static_cast<uint64_t>(rst.in_place)));
       }
-      if (on_restored) on_restored(*e.staged, e.ckpt, rst);
+      if (on_restored) on_restored(rst);
       ++restored;
     }
   } catch (const Error& err) {

@@ -114,11 +114,8 @@ class GroupTxn {
   /// Records the rewritten image to install for `pid` at commit time.
   void stage(int pid, image::ProcessImage img);
 
-  /// Per-restore accounting callback: the staged image, what its dump did
-  /// and what its restore just did.
-  using RestoredFn = std::function<void(
-      const image::ProcessImage&, const image::CkptStats&,
-      const image::RestoreStats&)>;
+  /// Per-restore accounting callback: what one restore just did.
+  using RestoredFn = std::function<void(const image::RestoreStats&)>;
 
   /// Restores every staged image (in staging order) and thaws the group.
   /// `on_restored` is invoked after each successful per-process restore

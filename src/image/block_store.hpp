@@ -18,8 +18,8 @@
 // therefore re-validates candidates with a full byte compare — the same
 // compare that guards against hash collisions — so a stale entry can only
 // cost a missed dedup, never a wrong share. Once intern() hands a block to
-// a second holder, use_count > 1 and the clone-on-shared choke points
-// (PageStore::writable, AddressSpace::writable_page) keep it immutable.
+// a second holder, use_count > 1 and the clone-on-shared choke point
+// (AddressSpace::writable_page) keeps it immutable.
 //
 // One hazard needs more than the use_count contract: a dedup hit can give
 // a *live, sole-owned* page block a second holder behind its owning
@@ -47,7 +47,7 @@ using vm::PageRef;
 
 class BlockStore {
  public:
-  /// The fleet-wide store every PageStore interns through. One per host
+  /// The fleet-wide store every checkpoint interns through. One per host
   /// (process images from different Os instances dedup against each other,
   /// exactly like images on one machine's tmpfs).
   static BlockStore& global();

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "image/block_store.hpp"
 
 namespace dynacut::image {
 
@@ -27,18 +28,6 @@ FdImage dump_fd(int fd, const os::FileDesc& desc) {
   return out;
 }
 
-vm::AddressSpace build_address_space(const ProcessImage& img) {
-  vm::AddressSpace mem;
-  for (const auto& v : img.vmas) {
-    mem.map(v.start, v.end - v.start, v.prot, v.name);
-  }
-  for (const auto& [addr, block] : img.pages) {
-    // Share the image's block; the first write after restore clones it.
-    mem.install_page_block(addr, block);
-  }
-  return mem;
-}
-
 /// Reconciles the live address space with the image in place instead of
 /// rebuilding it: the asid survives, untouched pages keep their blocks and
 /// generation counters, and only real differences cost work.
@@ -49,8 +38,7 @@ void delta_restore_mem(vm::AddressSpace& mem, const ProcessImage& img,
   // kept (re-protected if needed), anything else is unmapped, then missing
   // targets are mapped. Unmapping discards the covered pages — the page
   // pass below re-installs whatever the image holds there.
-  std::map<uint64_t, const VmaImage*> targets;
-  for (const auto& v : img.vmas) targets.emplace(v.start, &v);
+  std::map<uint64_t, vm::Vma> targets = img.mem.vmas();
 
   std::vector<vm::Vma> live;
   live.reserve(mem.vmas().size());
@@ -58,10 +46,10 @@ void delta_restore_mem(vm::AddressSpace& mem, const ProcessImage& img,
 
   for (const vm::Vma& v : live) {
     auto it = targets.find(v.start);
-    if (it != targets.end() && it->second->end == v.end &&
-        it->second->name == v.name) {
-      if (it->second->prot != v.prot) {
-        mem.protect(v.start, v.size(), it->second->prot);
+    if (it != targets.end() && it->second.end == v.end &&
+        it->second.name == v.name) {
+      if (it->second.prot != v.prot) {
+        mem.protect(v.start, v.size(), it->second.prot);
         ++st.vmas_changed;
       }
       targets.erase(it);  // consumed: an exact-extent match
@@ -71,7 +59,7 @@ void delta_restore_mem(vm::AddressSpace& mem, const ProcessImage& img,
     }
   }
   for (const auto& [start, v] : targets) {
-    mem.map(v->start, v->end - v->start, v->prot, v->name);
+    mem.map(v.start, v.size(), v.prot, v.name);
     ++st.vmas_changed;
   }
 
@@ -83,7 +71,8 @@ void delta_restore_mem(vm::AddressSpace& mem, const ProcessImage& img,
   // bump (decoded code stays valid); different bytes — install, which bumps
   // the generation so the decode cache drops exactly that page.
   std::vector<uint64_t> live_pages = mem.populated_pages();
-  for (const auto& [addr, block] : img.pages) {
+  for (uint64_t addr : img.mem.populated_pages()) {
+    vm::PageRef block = img.mem.page_block(addr);
     if (mem.page_live(addr)) {
       vm::PageRef cur = mem.page_block(addr);
       if (cur == block) {
@@ -101,22 +90,24 @@ void delta_restore_mem(vm::AddressSpace& mem, const ProcessImage& img,
     }
   }
   for (uint64_t addr : live_pages) {
-    if (img.pages.count(addr) == 0) {
+    if (!img.mem.page_live(addr)) {
       mem.drop_page(addr);
       ++st.pages_dropped;
     }
   }
 }
 
-/// Resolves the request's effective baseline: an explicit one wins, then
-/// the per-pid map; null means a full dump.
-const Baseline* effective_baseline(const CkptRequest& req) {
-  if (req.baseline != nullptr) return req.baseline;
-  if (req.baselines != nullptr) {
-    auto it = req.baselines->find(req.pid);
-    if (it != req.baselines->end()) return &it->second;
-  }
-  return nullptr;
+/// The request's baseline for its pid, or null (a full dump).
+const Baseline* find_baseline(const CkptRequest& req) {
+  if (req.baselines == nullptr) return nullptr;
+  auto it = req.baselines->find(req.pid);
+  return it == req.baselines->end() ? nullptr : &it->second;
+}
+
+/// Replaces the image's block for `page` by its BlockStore-canonical twin:
+/// identical bytes already held anywhere on the host share one block.
+void intern_page(vm::AddressSpace& mem, uint64_t page) {
+  mem.adopt_page_block(page, BlockStore::global().intern(mem.page_block(page)));
 }
 
 obs::Event& label_event(obs::Event& e, const std::string& label,
@@ -133,7 +124,7 @@ CkptReport checkpoint(os::Os& os, const CkptRequest& req) {
   const int pid = req.pid;
   FaultPlan* faults = req.faults;
   obs::EventBus* bus = req.bus;
-  const Baseline* baseline = effective_baseline(req);
+  const Baseline* baseline = find_baseline(req);
   FaultPlan::fire(faults, FaultStage::kCheckpoint);
   os::Process* p = os.process(pid);
   if (p == nullptr || p->state == os::Process::State::kExited) {
@@ -149,41 +140,37 @@ CkptReport checkpoint(os::Os& os, const CkptRequest& req) {
   img.core.sigactions = p->sigactions;
   img.core.signal_frames = p->signal_frames;
 
-  for (const auto& [start, vma] : p->mem.vmas()) {
-    img.vmas.push_back(VmaImage{vma.start, vma.end, vma.prot, vma.name});
-  }
-
   // Unlike stock CRIU we also dump file-backed executable pages — the
   // paper's criu/mem.c modification — which in this substrate simply means
-  // dumping every populated page. "Dumping" a page shares its refcounted
-  // block into the image (O(1)); the next live write clones it (COW).
+  // dumping every populated page. The image is a COW copy of the live
+  // space: it shares every block in O(pages), and the next live write to a
+  // page clones it. "Dumping" a page interns its block in the BlockStore.
+  img.mem = p->mem;
   CkptStats st;
   std::optional<std::vector<uint64_t>> dirty;
   if (baseline != nullptr) {
     dirty = p->mem.dirty_pages_since(baseline->epoch);
   }
   if (dirty.has_value()) {
-    // Incremental: start from the baseline's page table (pointer shares),
-    // then overlay just the dirty set. Dirty pages that are no longer live
-    // (dropped or unmapped since the baseline) leave the image too.
+    // Incremental: every page the baseline already holds is the live block
+    // (restore installed it); only the dirty set is interned anew. Dirty
+    // pages that are no longer live (dropped or unmapped since the
+    // baseline) left the image with the copy.
     st.incremental = true;
-    img.pages = baseline->img.pages;
     for (uint64_t page : *dirty) {
-      if (p->mem.page_live(page)) {
-        img.pages.put(page, p->mem.page_block(page));
+      if (img.mem.page_live(page)) {
+        intern_page(img.mem, page);
         ++st.pages_dumped;
-      } else {
-        st.pages_dropped += img.pages.erase(page);
+      } else if (baseline->img.mem.page_live(page)) {
+        ++st.pages_dropped;
       }
     }
-    st.pages_shared = img.pages.size() - st.pages_dumped;
+    st.pages_total = img.mem.page_count();
+    st.pages_shared = st.pages_total - st.pages_dumped;
   } else {
-    for (uint64_t page : p->mem.populated_pages()) {
-      img.pages.put(page, p->mem.page_block(page));
-    }
-    st.pages_dumped = img.pages.size();
+    for (uint64_t page : img.mem.populated_pages()) intern_page(img.mem, page);
+    st.pages_total = st.pages_dumped = img.mem.page_count();
   }
-  st.pages_total = img.pages.size();
 
   for (const auto& [fd, desc] : p->fds) {
     img.fds.push_back(dump_fd(fd, desc));
@@ -193,11 +180,11 @@ CkptReport checkpoint(os::Os& os, const CkptRequest& req) {
   }
   if (bus != nullptr) {
     obs::Event e(obs::ev::kCheckpointDump, pid);
-    e.with("pages", static_cast<uint64_t>(img.pages.size()))
+    e.with("pages", st.pages_total)
         .with("pages_dumped", st.pages_dumped)
         .with("pages_shared", st.pages_shared)
         .with("incremental", static_cast<uint64_t>(st.incremental))
-        .with("vmas", static_cast<uint64_t>(img.vmas.size()))
+        .with("vmas", img.mem.vma_count())
         .with("modules", static_cast<uint64_t>(img.modules.size()));
     bus->emit(std::move(label_event(e, req.label, req.tags)));
   }
@@ -218,9 +205,11 @@ RestoreStats restore(os::Os& os, const RestoreRequest& req) {
   FaultPlan::fire(faults, FaultStage::kRestore);
 
   RestoreStats st;
-  st.pages_total = img.pages.size();
+  st.pages_total = img.mem.page_count();
   if (mode == RestoreMode::kFull) {
-    p->mem = build_address_space(img);
+    // Assigning the image's space shares every block and takes a fresh
+    // asid: the first write after restore clones the page.
+    p->mem = img.mem;
     // The whole address space was rebuilt: every decoded instruction the
     // process cached is stale (the asid check would also catch this, but
     // the explicit clear frees the dead pages immediately).
@@ -228,8 +217,8 @@ RestoreStats restore(os::Os& os, const RestoreRequest& req) {
     // Fused traces hold generation-slot pointers into the old address
     // space; drop them with it.
     p->sbcache.clear();
-    st.pages_restored = img.pages.size();
-    st.vmas_changed = img.vmas.size();
+    st.pages_restored = st.pages_total;
+    st.vmas_changed = img.mem.vma_count();
   } else {
     // In-place delta: the asid survives, so decode-cache entries for pages
     // the image didn't change stay valid — no dcache.clear(). Superblocks
@@ -266,7 +255,7 @@ RestoreStats restore(os::Os& os, const RestoreRequest& req) {
   os.thaw(pid);
   if (bus != nullptr) {
     obs::Event e(obs::ev::kCheckpointRestore, pid);
-    e.with("pages", static_cast<uint64_t>(img.pages.size()))
+    e.with("pages", st.pages_total)
         .with("pages_restored", st.pages_restored)
         .with("pages_kept", st.pages_kept)
         .with("in_place", static_cast<uint64_t>(st.in_place));
@@ -280,7 +269,7 @@ int spawn_from_image(os::Os& os, const ProcessImage& img,
   auto p = std::make_unique<os::Process>();
   p->name = opts.name.empty() ? img.core.proc_name : opts.name;
   p->ppid = 0;
-  p->mem = build_address_space(img);
+  p->mem = img.mem;
   p->cpu = img.core.cpu;
   p->sigactions = img.core.sigactions;
   p->signal_frames = img.core.signal_frames;
@@ -329,23 +318,6 @@ int spawn_from_image(os::Os& os, const ProcessImage& img,
     }
   }
   return os.adopt(std::move(p));
-}
-
-std::vector<ProcessImage> checkpoint_group(os::Os& os, int root_pid,
-                                           FaultPlan* faults,
-                                           obs::EventBus* bus,
-                                           const BaselineMap* baselines,
-                                           std::vector<CkptStats>* stats) {
-  std::vector<ProcessImage> out;
-  for (int pid : os.process_group(root_pid)) {
-    CkptReport rep = checkpoint(os, CkptRequest{.pid = pid,
-                                                .faults = faults,
-                                                .bus = bus,
-                                                .baselines = baselines});
-    out.push_back(std::move(rep.img));
-    if (stats != nullptr) stats->push_back(rep.stats);
-  }
-  return out;
 }
 
 }  // namespace dynacut::image

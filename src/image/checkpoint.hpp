@@ -5,11 +5,11 @@
 //
 // Two optimizations shrink the freeze window on repeated customizations:
 //
-//   Incremental dump  — given a Baseline (the previous image plus the
-//   memory epoch it was taken at), checkpoint() copies the baseline's page
-//   table in O(pages) pointer shares and re-dumps only pages the
-//   soft-dirty analogue (vm::AddressSpace::dirty_pages_since) reports as
-//   modified. CRIU's pre-copy/soft-dirty trick.
+//   Incremental dump  — every dump is a COW copy of the live address space
+//   (O(pages) pointer shares); given a Baseline (the previous image plus
+//   the memory epoch it was taken at), checkpoint() interns only the pages
+//   the soft-dirty analogue (vm::AddressSpace::dirty_pages_since) reports
+//   as modified. CRIU's pre-copy/soft-dirty trick.
 //
 //   Delta restore     — restore() diffs the image against live memory and
 //   writes back only pages that actually differ, preserving the address
@@ -68,9 +68,7 @@ struct CkptRequest {
   FaultPlan* faults = nullptr;
   /// Receives a `checkpoint.dump` event once the dump succeeds.
   obs::EventBus* bus = nullptr;
-  /// Incremental-dump baseline: an explicit `baseline` wins; otherwise
-  /// `baselines` is consulted by pid. Either may be null.
-  const Baseline* baseline = nullptr;
+  /// Incremental-dump baselines, consulted by pid. May be null.
   const BaselineMap* baselines = nullptr;
   /// Obs labelling: attached to the `checkpoint.dump` event as string
   /// attributes (label, then each tag pair).
@@ -157,9 +155,10 @@ struct SpawnOpts {
 
 /// CRIU restore-as-template: forks a brand-new serving process on `os`
 /// directly from a (possibly customized) stored image. The worker gets a
-/// fresh pid/asid/fd table; its pages *share* the image's
-/// content-addressed blocks in O(pages) pointer installs, so 100 workers
-/// cost one resident image plus their private write sets. Listening
+/// fresh pid/asid/fd table; its memory is a copy of the image's address
+/// space that *shares* the image's content-addressed blocks (O(pages)
+/// pointer shares), so 100 workers cost one resident image plus their
+/// private write sets. Listening
 /// sockets are re-created (rebound to `opts.listen_port` when set) and
 /// registered; established connections come back detached with their
 /// buffered bytes. Returns the new pid.
@@ -168,15 +167,5 @@ struct SpawnOpts {
 /// image::ProcessImage, which sits above the OS in the link order.
 int spawn_from_image(os::Os& os, const ProcessImage& img,
                      const SpawnOpts& opts = {});
-
-/// checkpoint() for a whole process group (Nginx master + workers): every
-/// member goes through the same fault hook, per-member `checkpoint.dump`
-/// events, and — when `baselines` holds an entry for a member — the same
-/// incremental dirty-dump path as a single-process checkpoint. Per-member
-/// dump stats are appended to `stats` when provided, in group order.
-std::vector<ProcessImage> checkpoint_group(
-    os::Os& os, int root_pid, FaultPlan* faults = nullptr,
-    obs::EventBus* bus = nullptr, const BaselineMap* baselines = nullptr,
-    std::vector<CkptStats>* stats = nullptr);
 
 }  // namespace dynacut::image

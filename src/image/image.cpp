@@ -1,172 +1,22 @@
 #include "image/image.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 #include <set>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/hex.hpp"
+#include "image/block_store.hpp"
 
 namespace dynacut::image {
 
-const VmaImage* ProcessImage::vma_at(uint64_t addr) const {
-  for (const auto& v : vmas) {
-    if (addr >= v.start && addr < v.end) return &v;
-  }
-  return nullptr;
-}
-
-bool ProcessImage::mapped(uint64_t addr, uint64_t n) const {
-  uint64_t cur = addr;
-  const uint64_t end = addr + n;
-  while (cur < end) {
-    const VmaImage* v = vma_at(cur);
-    if (v == nullptr) return false;
-    cur = v->end;
-  }
-  return true;
-}
-
-std::vector<uint8_t> ProcessImage::read_bytes(uint64_t vaddr,
-                                              uint64_t n) const {
-  if (!mapped(vaddr, n)) {
-    throw StateError("image read outside VMAs at " + hex_addr(vaddr));
-  }
-  std::vector<uint8_t> out(n);
-  uint64_t cur = vaddr;
-  uint8_t* dst = out.data();
-  while (n > 0) {
-    uint64_t page = page_floor(cur);
-    uint64_t off = cur - page;
-    uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    auto it = pages.find(page);
-    if (it != pages.end()) {
-      std::memcpy(dst, it->second->data() + off, chunk);
-    } else {
-      std::memset(dst, 0, chunk);
-    }
-    dst += chunk;
-    cur += chunk;
-    n -= chunk;
-  }
-  return out;
-}
-
-void ProcessImage::write_bytes(uint64_t vaddr,
-                               std::span<const uint8_t> bytes) {
-  if (!mapped(vaddr, bytes.size())) {
-    throw StateError("image write outside VMAs at " + hex_addr(vaddr));
-  }
-  uint64_t cur = vaddr;
-  const uint8_t* src = bytes.data();
-  uint64_t n = bytes.size();
-  while (n > 0) {
-    uint64_t page = page_floor(cur);
-    uint64_t off = cur - page;
-    uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    std::memcpy(pages.writable(page).data() + off, src, chunk);
-    src += chunk;
-    cur += chunk;
-    n -= chunk;
-  }
-}
-
-uint8_t ProcessImage::read_u8(uint64_t vaddr) const {
-  return read_bytes(vaddr, 1)[0];
-}
-
-uint64_t ProcessImage::read_u64(uint64_t vaddr) const {
-  auto b = read_bytes(vaddr, 8);
-  uint64_t v;
-  std::memcpy(&v, b.data(), 8);
-  return v;
-}
-
-void ProcessImage::write_u64(uint64_t vaddr, uint64_t value) {
-  uint8_t b[8];
-  std::memcpy(b, &value, 8);
-  write_bytes(vaddr, b);
-}
-
-void ProcessImage::add_vma(uint64_t start, uint64_t size, uint32_t prot,
-                           const std::string& name) {
-  DYNACUT_ASSERT(start == page_floor(start));
-  size = page_ceil(size);
-  uint64_t end = start + size;
-  for (const auto& v : vmas) {
-    if (start < v.end && v.start < end) {
-      throw StateError("add_vma overlaps " + v.name);
-    }
-  }
-  vmas.push_back(VmaImage{start, end, prot, name});
-  std::sort(vmas.begin(), vmas.end(),
-            [](const VmaImage& a, const VmaImage& b) {
-              return a.start < b.start;
-            });
-}
-
-void ProcessImage::drop_range(uint64_t start, uint64_t size) {
-  size = page_ceil(size);
-  const uint64_t end = start + size;
-  std::vector<VmaImage> next;
-  bool touched = false;
-  for (const auto& v : vmas) {
-    if (v.end <= start || v.start >= end) {
-      next.push_back(v);
-      continue;
-    }
-    touched = true;
-    if (v.start < start) next.push_back({v.start, start, v.prot, v.name});
-    if (v.end > end) next.push_back({end, v.end, v.prot, v.name});
-  }
-  if (!touched) {
-    throw StateError("drop_range of unmapped range at " + hex_addr(start));
-  }
-  vmas = std::move(next);
-  for (uint64_t p = page_floor(start); p < end; p += kPageSize) {
-    pages.erase(p);
-  }
-}
-
-void ProcessImage::grow_vma(uint64_t start, uint64_t extra) {
-  for (auto& v : vmas) {
-    if (v.start == start) {
-      uint64_t new_end = v.end + page_ceil(extra);
-      for (const auto& o : vmas) {
-        if (&o != &v && v.end <= o.start && o.start < new_end) {
-          throw StateError("grow_vma collides with " + o.name);
-        }
-      }
-      v.end = new_end;
-      return;
-    }
-  }
-  throw StateError("grow_vma: no VMA starting at " + hex_addr(start));
-}
-
-uint64_t ProcessImage::find_free(uint64_t size, uint64_t hint) const {
-  size = page_ceil(size);
-  uint64_t candidate = page_floor(hint);
-  // vmas kept sorted by add_vma; checkpoint also emits them sorted.
-  for (const auto& v : vmas) {
-    if (v.start >= candidate + size) break;
-    if (v.end > candidate) candidate = v.end;
-  }
-  return candidate;
-}
+namespace {
+/// Largest VMA decode() accepts (4 GiB).
+constexpr uint64_t kMaxDecodedVmaBytes = uint64_t{1} << 32;
+}  // namespace
 
 const ModuleImage* ProcessImage::module_named(const std::string& name) const {
   for (const auto& m : modules) {
     if (m.name == name) return &m;
-  }
-  return nullptr;
-}
-
-const ModuleImage* ProcessImage::module_at(uint64_t addr) const {
-  for (const auto& m : modules) {
-    if (addr >= m.base && addr < m.base + m.size) return &m;
   }
   return nullptr;
 }
@@ -194,8 +44,8 @@ std::vector<uint8_t> ProcessImage::encode() const {
   for (uint64_t f : core.signal_frames) w.u64(f);
 
   // mm
-  w.u32(static_cast<uint32_t>(vmas.size()));
-  for (const auto& v : vmas) {
+  w.u32(static_cast<uint32_t>(mem.vma_count()));
+  for (const auto& [start, v] : mem.vmas()) {
     w.u64(v.start);
     w.u64(v.end);
     w.u32(v.prot);
@@ -203,10 +53,12 @@ std::vector<uint8_t> ProcessImage::encode() const {
   }
 
   // pagemap + pages
+  const std::vector<uint64_t> pages = mem.populated_pages();
   w.u32(static_cast<uint32_t>(pages.size()));
-  for (const auto& [addr, block] : pages) {
+  for (uint64_t addr : pages) {
     w.u64(addr);
-    w.raw(block->data(), block->size());
+    std::span<const uint8_t> bytes = mem.page_bytes(addr);
+    w.raw(bytes.data(), bytes.size());
   }
 
   // files
@@ -253,20 +105,33 @@ ProcessImage ProcessImage::decode(std::span<const uint8_t> data) {
 
   uint32_t nvma = r.u32();
   for (uint32_t i = 0; i < nvma; ++i) {
-    VmaImage v;
-    v.start = r.u64();
-    v.end = r.u64();
-    v.prot = r.u32();
-    v.name = r.str();
-    img.vmas.push_back(std::move(v));
+    const uint64_t start = r.u64();
+    const uint64_t end = r.u64();
+    const uint32_t prot = r.u32();
+    const std::string name = r.str();
+    // Unmapping a VMA gives each of its pages a page-table slot, so an
+    // untrusted size is bounded here.
+    if (start != page_floor(start) || end != page_floor(end) || end <= start ||
+        end - start > kMaxDecodedVmaBytes) {
+      throw DecodeError("process image VMA malformed: " + name);
+    }
+    try {
+      img.mem.map(start, end - start, prot, name);
+    } catch (const StateError& e) {
+      throw DecodeError(e.what());
+    }
   }
 
   uint32_t npages = r.u32();
   for (uint32_t i = 0; i < npages; ++i) {
     uint64_t addr = r.u64();
+    if (addr != page_floor(addr) || img.mem.vma_at(addr) == nullptr) {
+      throw DecodeError("process image page outside every VMA");
+    }
     auto bytes = std::make_shared<std::vector<uint8_t>>(kPageSize);
     r.raw(bytes->data(), bytes->size());
-    img.pages.put(addr, std::move(bytes));
+    img.mem.install_page_block(addr,
+                               BlockStore::global().intern(std::move(bytes)));
   }
 
   uint32_t nfds = r.u32();
@@ -326,13 +191,6 @@ bool ImageStore::contains(const ImageKey& key) const {
 }
 
 size_t ImageStore::erase(const ImageKey& key) { return files_.erase(key); }
-
-std::vector<ImageKey> ImageStore::list() const {
-  std::vector<ImageKey> keys;
-  keys.reserve(files_.size());
-  for (const auto& [k, img] : files_) keys.push_back(k);
-  return keys;
-}
 
 size_t ImageStore::bytes_used() const {
   size_t total = 0;

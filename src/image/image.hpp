@@ -2,29 +2,29 @@
 //
 // A checkpoint produces a ProcessImage split the way CRIU splits its dump:
 //   core    — registers, signal dispositions, pending signal frames
-//   mm      — the VMA list
-//   pagemap — which pages are populated
-//   pages   — raw page contents
+//   mem     — mm, pagemap and pages: the VMA list and the populated pages,
+//             held as the address space they describe (vm::AddressSpace,
+//             sharing the live process's copy-on-write page blocks)
 //   files   — fd table incl. socket state (TCP_REPAIR analogue)
 //   modules — loaded-module table (binary name/base; MELF payload inline)
 //
 // DynaCut's process rewriter (src/rewriter) mutates this object between
-// dump and restore; that is the paper's central mechanism.
+// dump and restore — through the same map/unmap/peek/poke a live process
+// uses; that is the paper's central mechanism.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "image/page_store.hpp"
 #include "melf/binary.hpp"
 #include "os/process.hpp"
+#include "vm/addrspace.hpp"
 #include "vm/cpu.hpp"
 
 namespace dynacut::image {
@@ -37,14 +37,6 @@ struct CoreImage {
   vm::Cpu cpu;
   std::array<os::SigAction, os::sig::kNumSignals> sigactions{};
   std::vector<uint64_t> signal_frames;
-};
-
-/// One mm-image row.
-struct VmaImage {
-  uint64_t start = 0;
-  uint64_t end = 0;
-  uint32_t prot = 0;
-  std::string name;
 };
 
 /// files image row. The live Socket object is carried through checkpoint/
@@ -71,49 +63,26 @@ struct ModuleImage {
 class ProcessImage {
  public:
   CoreImage core;
-  std::vector<VmaImage> vmas;  // mm image
-  PageStore pages;             // pagemap + pages (COW blocks)
+  vm::AddressSpace mem;  // mm + pagemap + pages (COW blocks)
   std::vector<FdImage> fds;
   std::vector<ModuleImage> modules;
 
-  // --- address-based access used by the rewriter ------------------------
-  const VmaImage* vma_at(uint64_t addr) const;
-  bool mapped(uint64_t addr, uint64_t n = 1) const;
-
-  /// Reads/writes through the page store; zero-fill semantics for mapped but
-  /// unpopulated pages; throws StateError outside every VMA.
-  std::vector<uint8_t> read_bytes(uint64_t vaddr, uint64_t n) const;
-  void write_bytes(uint64_t vaddr, std::span<const uint8_t> bytes);
-  uint8_t read_u8(uint64_t vaddr) const;
-  uint64_t read_u64(uint64_t vaddr) const;
-  void write_u64(uint64_t vaddr, uint64_t value);
-
-  /// Adds a VMA (library injection). Throws on overlap.
-  void add_vma(uint64_t start, uint64_t size, uint32_t prot,
-               const std::string& name);
-  /// Removes pages and VMA coverage for [start, start+size).
-  void drop_range(uint64_t start, uint64_t size);
-  /// Grows an existing VMA upward by `extra` bytes (paper: "enlarge VMAs").
-  void grow_vma(uint64_t start, uint64_t extra);
-
-  /// First gap of `size` bytes at or above `hint`.
-  uint64_t find_free(uint64_t size, uint64_t hint) const;
-
   const ModuleImage* module_named(const std::string& name) const;
-  const ModuleImage* module_at(uint64_t addr) const;
 
   /// Total dumped page payload (the paper's "image size" column in Fig. 7):
   /// the logical size — every page counted, shared or not.
-  uint64_t pages_bytes() const { return pages.logical_bytes(); }
+  uint64_t pages_bytes() const { return mem.page_count() * kPageSize; }
 
   /// Payload actually resident for this image: pages whose blocks are not
   /// already counted in `seen` (dedup by block identity across images).
   uint64_t resident_pages_bytes(std::set<const void*>* seen = nullptr) const {
-    return pages.resident_bytes(seen);
+    return mem.resident_bytes(seen);
   }
 
   // --- serialization ------------------------------------------------------
   std::vector<uint8_t> encode() const;
+  /// Decodes an untrusted byte stream; throws DecodeError on malformed
+  /// input, including VMAs that overlap or pages outside every VMA.
   static ProcessImage decode(std::span<const uint8_t> data);
 };
 
@@ -151,8 +120,6 @@ class ImageStore {
   ProcessImage get(const ImageKey& key) const;
   bool contains(const ImageKey& key) const;
   size_t erase(const ImageKey& key);
-  /// Every key in the store, ascending (pid, then tag).
-  std::vector<ImageKey> list() const;
 
   /// Logical page payload across all entries — every page counted once per
   /// image that holds it, shared or not.

@@ -27,8 +27,8 @@ PatchRecord ImageRewriter::apply_bytes(uint64_t vaddr,
   FaultPlan::fire(faults_, FaultStage::kRewrite);
   PatchRecord rec;
   rec.vaddr = vaddr;
-  rec.original = img_.read_bytes(vaddr, bytes.size());
-  img_.write_bytes(vaddr, bytes);
+  rec.original = img_.mem.peek_bytes(vaddr, bytes.size());
+  img_.mem.poke_bytes(vaddr, bytes);
   bytes_patched_ += bytes.size();
   touch_pages(vaddr, bytes.size());
   return rec;
@@ -63,7 +63,8 @@ PatchRecord ImageRewriter::wipe(uint64_t vaddr, uint64_t size) {
 }
 
 PatchRecord ImageRewriter::redirect_branch(uint64_t vaddr, uint64_t target) {
-  const uint8_t op = img_.read_u8(vaddr);
+  uint8_t op = 0;
+  img_.mem.peek(vaddr, &op, 1);
   if (op != static_cast<uint8_t>(isa::Op::kCall) &&
       op != static_cast<uint8_t>(isa::Op::kJmp)) {
     throw StateError("redirect_branch: not a direct call/jmp at " +
@@ -101,7 +102,7 @@ PatchRecord ImageRewriter::redirect_got(uint64_t slot_vaddr, uint64_t target) {
 
 void ImageRewriter::undo(const PatchRecord& rec) {
   FaultPlan::fire(faults_, FaultStage::kRewrite);
-  img_.write_bytes(rec.vaddr, rec.original);
+  img_.mem.poke_bytes(rec.vaddr, rec.original);
   // An undo is not a new customization: it must not inflate bytes_patched
   // (the cost model would double-charge every patch/undo cycle).
   bytes_restored_ += rec.original.size();
@@ -116,28 +117,11 @@ void ImageRewriter::unmap_pages(uint64_t vaddr, uint64_t size) {
   FaultPlan::fire(faults_, FaultStage::kRewrite);
   uint64_t start = page_floor(vaddr);
   uint64_t end = page_ceil(vaddr + size);
-  img_.drop_range(start, end - start);
+  img_.mem.unmap(start, end - start);
   touch_pages(start, end - start);
   emit(obs::Event(obs::ev::kRewriteUnmap, img_.core.pid)
            .with("addr", start)
            .with("bytes", end - start));
-}
-
-void ImageRewriter::grow_vma(uint64_t vma_start, uint64_t extra) {
-  img_.grow_vma(vma_start, extra);
-}
-
-void ImageRewriter::make_code_writable(const std::string& module_name) {
-  const image::ModuleImage* m = img_.module_named(module_name);
-  if (m == nullptr) {
-    throw StateError("make_code_writable: no module " + module_name);
-  }
-  for (auto& v : img_.vmas) {
-    if (v.start >= m->base && v.end <= m->base + m->size &&
-        (v.prot & kProtExec) != 0) {
-      v.prot |= kProtWrite;
-    }
-  }
 }
 
 void ImageRewriter::set_sigaction(int signo, uint64_t handler,
@@ -156,7 +140,7 @@ uint64_t ImageRewriter::inject_library(
     throw StateError("inject_library: module already present: " + lib->name);
   }
   if (base == 0) {
-    base = img_.find_free(lib->image_size(), kInjectHint);
+    base = img_.mem.find_free(lib->image_size(), kInjectHint);
   }
   if (base != page_floor(base)) {
     throw StateError("inject_library: base not page aligned");
@@ -166,10 +150,10 @@ uint64_t ImageRewriter::inject_library(
   // edits of paper §3.3.
   for (const auto& sec : lib->sections) {
     if (sec.size == 0) continue;
-    img_.add_vma(base + sec.offset, sec.size, melf::section_prot(sec.kind),
+    img_.mem.map(base + sec.offset, sec.size, melf::section_prot(sec.kind),
                  lib->name + ":" + melf::section_name(sec.kind));
     if (!sec.bytes.empty()) {
-      img_.write_bytes(base + sec.offset, sec.bytes);
+      img_.mem.poke_bytes(base + sec.offset, sec.bytes);
       touch_pages(base + sec.offset, sec.bytes.size());
     }
   }
@@ -209,7 +193,7 @@ uint64_t ImageRewriter::inject_library(
         break;
       }
     }
-    img_.write_u64(base + rel.offset, value);
+    img_.mem.poke(base + rel.offset, &value, 8);
     ++relocs_applied_;
   }
   emit(obs::Event(obs::ev::kRewriteInject, img_.core.pid)
@@ -234,12 +218,12 @@ void ImageRewriter::unload_library(const std::string& name) {
   // Drop each VMA of the module individually (sections are not contiguous
   // at page granularity but all live inside [base, base+size)).
   std::vector<std::pair<uint64_t, uint64_t>> ranges;
-  for (const auto& v : img_.vmas) {
+  for (const auto& [start, v] : img_.mem.vmas()) {
     if (v.start >= base && v.end <= base + size) {
-      ranges.emplace_back(v.start, v.end - v.start);
+      ranges.emplace_back(v.start, v.size());
     }
   }
-  for (const auto& [start, len] : ranges) img_.drop_range(start, len);
+  for (const auto& [start, len] : ranges) img_.mem.unmap(start, len);
 }
 
 uint64_t ImageRewriter::symbol_addr(const std::string& module_name,

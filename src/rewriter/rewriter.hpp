@@ -5,7 +5,7 @@
 //   * update memory contents (arbitrary byte patches),
 //   * replace the first byte of a basic block with TRAP (int3 blocking),
 //   * wipe whole blocks with TRAP bytes (anti-ROP variant),
-//   * unmap code pages / grow VMAs,
+//   * unmap code pages,
 //   * inject a position-independent shared library (ELF-walk, page
 //     creation, global-data + GOT/PLT relocation against loaded modules),
 //   * rewrite the SIGTRAP sigaction to point into the injected library,
@@ -106,10 +106,6 @@ class ImageRewriter {
   // --- VMA surgery --------------------------------------------------------
   /// Unmaps the page range fully covering [vaddr, vaddr+size).
   void unmap_pages(uint64_t vaddr, uint64_t size);
-  void grow_vma(uint64_t vma_start, uint64_t extra);
-
-  /// Marks code pages writable+executable (verifier self-healing support).
-  void make_code_writable(const std::string& module_name);
 
   // --- stub redirection (Mechanism::kStub/kAuto) --------------------------
   /// Retargets the direct kCall/kJmp at `vaddr` to `target` by patching its

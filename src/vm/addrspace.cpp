@@ -14,17 +14,31 @@ uint64_t AddressSpace::next_asid() {
 }
 
 uint64_t AddressSpace::page_generation(uint64_t page_addr) const {
-  auto it = page_gens_.find(page_floor(page_addr));
-  return it == page_gens_.end() ? 0 : it->second;
+  const uint64_t page = page_floor(page_addr);
+  auto it = pages_.find(page);
+  if (it != pages_.end()) return it->second.gen;
+  const Vma* v = vma_at(page);
+  return v == nullptr ? 0 : v->gen;
 }
 
 const uint64_t* AddressSpace::page_generation_slot(uint64_t page_addr) const {
-  return &page_gens_[page_floor(page_addr)];
+  return &slot(page_floor(page_addr)).gen;
 }
 
-void AddressSpace::bump_generations(uint64_t start, uint64_t end) {
-  for (uint64_t p = page_floor(start); p < end; p += kPageSize) {
-    ++page_gens_[p];
+AddressSpace::PageSlot& AddressSpace::slot(uint64_t page) const {
+  auto [it, fresh] = pages_.try_emplace(page);
+  if (fresh) {
+    // A new slot takes over the generation its VMA kept for it.
+    const Vma* v = vma_at(page);
+    it->second.gen = v == nullptr ? 0 : v->gen;
+  }
+  return it->second;
+}
+
+void AddressSpace::bump_slots(uint64_t start, uint64_t end) {
+  for (auto it = pages_.lower_bound(start);
+       it != pages_.end() && it->first < end; ++it) {
+    ++it->second.gen;
   }
 }
 
@@ -36,7 +50,7 @@ void AddressSpace::bump_exec_generations(uint64_t addr, uint64_t n) {
     // vma_at never misses here: callers bump only after a checked write.
     uint64_t vma_end = v == nullptr ? end : v->end;
     if (v != nullptr && (v->prot & kProtExec) != 0) {
-      bump_generations(cur, std::min(end, vma_end));
+      bump_slots(page_floor(cur), std::min(end, vma_end));
     }
     cur = std::max(cur + 1, std::min(end, vma_end));
   }
@@ -55,8 +69,8 @@ std::optional<std::vector<uint64_t>> AddressSpace::dirty_pages_since(
     return std::nullopt;
   }
   std::vector<uint64_t> out;
-  for (const auto& [page, stamp] : page_stamps_) {
-    if (stamp > since.epoch) out.push_back(page);
+  for (const auto& [page, slot] : pages_) {
+    if (slot.stamp > since.epoch) out.push_back(page);
   }
   return out;
 }
@@ -80,18 +94,16 @@ void AddressSpace::map(uint64_t start, uint64_t size, uint32_t prot,
     throw StateError("map overlaps existing VMA " + it->second.name + " at " +
                      hex_addr(it->second.start));
   }
-  vmas_[start] = Vma{start, end, prot, name};
-  bump_generations(start, end);
+  vmas_[start] = Vma{start, end, prot, name, 1};
+  bump_slots(start, end);
   invalidate_caches();
 }
 
 void AddressSpace::unmap(uint64_t start, uint64_t size) {
   invalidate_caches();
-  bump_generations(start, start + page_ceil(size));
   DYNACUT_ASSERT(start == page_floor(start));
   size = page_ceil(size);
   uint64_t end = start + size;
-  bool touched = false;
 
   // Collect affected VMAs, then rewrite them.
   std::vector<Vma> affected;
@@ -103,23 +115,30 @@ void AddressSpace::unmap(uint64_t start, uint64_t size) {
     }
     affected.push_back(v);
     it = vmas_.erase(it);
-    touched = true;
   }
-  if (!touched) {
+  if (affected.empty()) {
     throw StateError("unmap of unmapped range at " + hex_addr(start));
   }
   for (const Vma& v : affected) {
     if (v.start < start) {
-      vmas_[v.start] = Vma{v.start, start, v.prot, v.name};
+      vmas_[v.start] = Vma{v.start, start, v.prot, v.name, v.gen};
     }
     if (v.end > end) {
-      vmas_[end] = Vma{end, v.end, v.prot, v.name};
+      vmas_[end] = Vma{end, v.end, v.prot, v.name, v.gen};
     }
-  }
-  // Discard pages in the unmapped range; the discard is a content change
-  // the next delta dump must see.
-  for (uint64_t p = start; p < end; p += kPageSize) {
-    if (pages_.erase(p) != 0) page_stamps_[p] = epoch_;
+    // Every unmapped page gets a slot, so its generation keeps counting
+    // up when the range is mapped again. Discarding a page is a content
+    // change the next delta dump must see.
+    for (uint64_t p = std::max(v.start, start); p < std::min(v.end, end);
+         p += kPageSize) {
+      auto [it, fresh] = pages_.try_emplace(p);
+      PageSlot& s = it->second;
+      s.gen = (fresh ? v.gen : s.gen) + 1;
+      if (s.block != nullptr) {
+        s.block.reset();
+        s.stamp = epoch_;
+      }
+    }
   }
 }
 
@@ -128,7 +147,7 @@ void AddressSpace::protect(uint64_t start, uint64_t size, uint32_t prot) {
   DYNACUT_ASSERT(start == page_floor(start));
   size = page_ceil(size);
   uint64_t end = start + size;
-  bump_generations(start, end);
+  bump_slots(start, end);
 
   std::vector<Vma> affected;
   for (auto it = vmas_.begin(); it != vmas_.end();) {
@@ -144,11 +163,13 @@ void AddressSpace::protect(uint64_t start, uint64_t size, uint32_t prot) {
     throw StateError("protect of unmapped range at " + hex_addr(start));
   }
   for (const Vma& v : affected) {
-    if (v.start < start) vmas_[v.start] = Vma{v.start, start, v.prot, v.name};
+    if (v.start < start) {
+      vmas_[v.start] = Vma{v.start, start, v.prot, v.name, v.gen};
+    }
     uint64_t mid_start = std::max(v.start, start);
     uint64_t mid_end = std::min(v.end, end);
-    vmas_[mid_start] = Vma{mid_start, mid_end, prot, v.name};
-    if (v.end > end) vmas_[end] = Vma{end, v.end, v.prot, v.name};
+    vmas_[mid_start] = Vma{mid_start, mid_end, prot, v.name, v.gen + 1};
+    if (v.end > end) vmas_[end] = Vma{end, v.end, v.prot, v.name, v.gen};
   }
 }
 
@@ -169,27 +190,26 @@ uint64_t AddressSpace::find_free(uint64_t size, uint64_t hint) const {
   return candidate;
 }
 
-AddressSpace::Page& AddressSpace::writable_page(uint64_t page_addr) {
-  auto it = pages_.find(page_addr);
-  if (it == pages_.end()) {
-    it = pages_.emplace(page_addr, std::make_shared<Page>(kPageSize, 0))
-             .first;
-  } else if (it->second.use_count() > 1) {
+AddressSpace::PageSlot& AddressSpace::writable_page(uint64_t page_addr) {
+  PageSlot& s = slot(page_addr);
+  if (s.block == nullptr) {
+    s.block = std::make_shared<Page>(kPageSize, 0);
+  } else if (s.block.use_count() > 1) {
     // Copy-on-write: the block is visible through a checkpoint image (or a
     // copied address space) — clone before mutating. A TLB entry still
     // points into the shared block; drop it.
     if (TlbEntry& e = tlb_entry(page_addr); e.page == page_addr) {
       e = TlbEntry{};
     }
-    it->second = std::make_shared<Page>(*it->second);
+    s.block = std::make_shared<Page>(*s.block);
   }
-  page_stamps_[page_addr] = epoch_;
-  return *it->second;
+  s.stamp = epoch_;
+  return s;
 }
 
 const AddressSpace::Page* AddressSpace::find_page(uint64_t page_addr) const {
   auto it = pages_.find(page_addr);
-  return it == pages_.end() ? nullptr : it->second.get();
+  return it == pages_.end() ? nullptr : it->second.block.get();
 }
 
 Access AddressSpace::check_range(uint64_t addr, uint64_t n,
@@ -217,12 +237,12 @@ Access AddressSpace::read_slow(uint64_t addr, void* out, uint64_t n,
       return {false, addr};
     }
     auto it = pages_.find(page);
-    if (it == pages_.end()) {
+    if (it == pages_.end() || it->second.block == nullptr) {
       std::memset(out, 0, n);
       return {true, 0};
     }
     TlbEntry& e = tlb_entry(page);
-    e = TlbEntry{page, it->second->data(), 0, v->prot, false};
+    e = TlbEntry{page, it->second.block->data(), 0, v->prot, false};
     tlb_filled_ = true;
     std::memcpy(out, e.bytes + (addr - page), n);
     return {true, 0};
@@ -258,12 +278,12 @@ Access AddressSpace::write_slow(uint64_t addr, const void* src, uint64_t n,
     if (v == nullptr || (v->prot & need_prot) != need_prot) {
       return {false, addr};
     }
-    Page& p = writable_page(page);
+    PageSlot& s = writable_page(page);
     TlbEntry& e = tlb_entry(page);
-    e = TlbEntry{page, p.data(), share_epoch(), v->prot, true};
+    e = TlbEntry{page, s.block->data(), share_epoch(), v->prot, true};
     tlb_filled_ = true;
     std::memcpy(e.bytes + (addr - page), src, n);
-    if ((v->prot & kProtExec) != 0) ++page_gens_[page];
+    if ((v->prot & kProtExec) != 0) ++s.gen;
     return {true, 0};
   }
 
@@ -275,7 +295,7 @@ Access AddressSpace::write_slow(uint64_t addr, const void* src, uint64_t n,
     uint64_t pg = page_floor(cur);
     uint64_t off = cur - pg;
     uint64_t chunk = std::min<uint64_t>(n, kPageSize - off);
-    std::memcpy(writable_page(pg).data() + off, s, chunk);
+    std::memcpy(writable_page(pg).block->data() + off, s, chunk);
     s += chunk;
     cur += chunk;
     n -= chunk;
@@ -315,11 +335,20 @@ void AddressSpace::poke_bytes(uint64_t addr, std::span<const uint8_t> bytes) {
 
 std::vector<uint64_t> AddressSpace::populated_pages() const {
   std::vector<uint64_t> out;
-  out.reserve(pages_.size());
-  for (const auto& [addr, page] : pages_) {
-    // A page can linger after its VMA was unmapped and the range remapped;
-    // only report pages still inside a VMA.
-    if (vma_at(addr) != nullptr) out.push_back(addr);
+  for (const auto& [addr, slot] : pages_) {
+    // Only report pages still inside a VMA.
+    if (slot.block != nullptr && vma_at(addr) != nullptr) out.push_back(addr);
+  }
+  return out;
+}
+
+std::map<uint64_t, AddressSpace::PageSlot> AddressSpace::populated_slots()
+    const {
+  std::map<uint64_t, PageSlot> out;
+  for (const auto& [addr, slot] : pages_) {
+    if (slot.block != nullptr) {
+      out.emplace_hint(out.end(), addr, PageSlot{slot.block});
+    }
   }
   return out;
 }
@@ -328,8 +357,10 @@ uint64_t AddressSpace::resident_bytes(std::set<const void*>* seen) const {
   std::set<const void*> local;
   std::set<const void*>& s = seen != nullptr ? *seen : local;
   uint64_t total = 0;
-  for (const auto& [addr, block] : pages_) {
-    if (s.insert(block.get()).second) total += block->size();
+  for (const auto& [addr, slot] : pages_) {
+    if (slot.block != nullptr && s.insert(slot.block.get()).second) {
+      total += slot.block->size();
+    }
   }
   return total;
 }
@@ -346,14 +377,14 @@ void AddressSpace::install_page(uint64_t page_addr,
                                 std::span<const uint8_t> bytes) {
   DYNACUT_ASSERT(page_addr == page_floor(page_addr));
   DYNACUT_ASSERT(bytes.size() == kPageSize);
-  Page& p = writable_page(page_addr);
-  std::copy(bytes.begin(), bytes.end(), p.begin());
-  ++page_gens_[page_addr];
+  PageSlot& s = writable_page(page_addr);
+  std::copy(bytes.begin(), bytes.end(), s.block->begin());
+  ++s.gen;
 }
 
 PageRef AddressSpace::page_block(uint64_t page_addr) const {
   auto it = pages_.find(page_addr);
-  if (it == pages_.end()) {
+  if (it == pages_.end() || it->second.block == nullptr) {
     throw StateError("page not populated: " + hex_addr(page_addr));
   }
   // The block is shared from here on: the write fast path must not keep
@@ -361,32 +392,35 @@ PageRef AddressSpace::page_block(uint64_t page_addr) const {
   if (TlbEntry& e = tlb_entry(page_addr); e.page == page_addr) {
     e.writable = false;
   }
-  return it->second;
+  return it->second.block;
 }
 
 void AddressSpace::install_page_block(uint64_t page_addr, PageRef block) {
   DYNACUT_ASSERT(page_addr == page_floor(page_addr));
   DYNACUT_ASSERT(block != nullptr && block->size() == kPageSize);
   invalidate_caches();
-  pages_[page_addr] = std::move(block);
-  page_stamps_[page_addr] = epoch_;
-  ++page_gens_[page_addr];
+  PageSlot& s = slot(page_addr);
+  s.block = std::move(block);
+  s.stamp = epoch_;
+  ++s.gen;
 }
 
 void AddressSpace::adopt_page_block(uint64_t page_addr, PageRef block) {
   DYNACUT_ASSERT(page_addr == page_floor(page_addr));
   DYNACUT_ASSERT(block != nullptr && block->size() == kPageSize);
   invalidate_caches();
-  pages_[page_addr] = std::move(block);
+  slot(page_addr).block = std::move(block);
   // No generation bump, no dirty stamp: bytes are unchanged by contract.
 }
 
 void AddressSpace::drop_page(uint64_t page_addr) {
   DYNACUT_ASSERT(page_addr == page_floor(page_addr));
-  if (pages_.erase(page_addr) == 0) return;
+  auto it = pages_.find(page_addr);
+  if (it == pages_.end() || it->second.block == nullptr) return;
   invalidate_caches();
-  page_stamps_[page_addr] = epoch_;
-  ++page_gens_[page_addr];
+  it->second.block.reset();
+  it->second.stamp = epoch_;
+  ++it->second.gen;
 }
 
 }  // namespace dynacut::vm

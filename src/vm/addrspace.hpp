@@ -1,14 +1,16 @@
 // Per-process virtual address space: a VMA list plus sparse 4 KiB pages.
 //
 // This is the object CRIU-style checkpointing serializes (mm + pagemap +
-// pages) and the process rewriter mutates. Pages are populated lazily on
-// first write; reads inside a VMA of an unpopulated page observe zeros —
-// mirroring anonymous-memory semantics, and giving the checkpointer the
-// same "dump only populated pages" behaviour the paper relies on.
+// pages) and the process rewriter mutates: a live process and a
+// checkpoint image (image::ProcessImage::mem) each hold one. Pages are
+// populated lazily on first write; reads inside a VMA of an unpopulated
+// page observe zeros — mirroring anonymous-memory semantics, and giving
+// the checkpointer the same "dump only populated pages" behaviour the
+// paper relies on.
 //
-// Pages are refcounted blocks (PageRef): checkpointing shares the live
-// block into the image instead of copying it, and the first write after a
-// share clones the block (copy-on-write). A block referenced by more than
+// Pages are refcounted blocks (PageRef): a checkpoint copies the live
+// space, sharing every block instead of copying it, and the first write
+// after a share clones the block (copy-on-write). A block referenced by more than
 // one owner is immutable by contract — every mutation path goes through
 // writable_page(), which clones a shared block before touching it.
 #pragma once
@@ -59,6 +61,9 @@ struct Vma {
   uint64_t end = 0;
   uint32_t prot = 0;
   std::string name;  ///< "miniweb:.text", "[stack]", "[heap]", ...
+  /// Generation of its pages that have no page-table slot: 1 when mapped,
+  /// advanced by protect (see AddressSpace::page_generation).
+  uint64_t gen = 0;
 
   uint64_t size() const { return end - start; }
   bool contains(uint64_t addr) const { return addr >= start && addr < end; }
@@ -93,25 +98,22 @@ class AddressSpace {
  public:
   AddressSpace() = default;
   // Copies/moves must not carry TLB pointers into another object's pages.
-  // Copies take a fresh asid (decode caches keyed to the source must not
-  // trust the copy); moves keep the source's asid because the map nodes —
-  // and thus any generation-slot pointers handed out — move along with it.
-  // A copy shares every page block with the source, so the source's TLB
-  // must drop its raw pointers (the blocks are no longer unique).
+  // A copy is a new instance: a fresh asid (decode caches keyed to the
+  // source must not trust it) and a restarted modification clock, so it
+  // carries only the VMAs and the populated pages' blocks — O(populated
+  // pages), however much the source has mapped. Moves keep the source's
+  // asid and clock because the map nodes — and thus any generation-slot
+  // pointers handed out — move along with it. A copy shares every page
+  // block with the source, so the source's TLB must drop its raw pointers
+  // (the blocks are no longer unique).
   AddressSpace(const AddressSpace& o)
-      : vmas_(o.vmas_),
-        pages_(o.pages_),
-        page_gens_(o.page_gens_),
-        page_stamps_(o.page_stamps_),
-        epoch_(o.epoch_) {
+      : vmas_(o.vmas_), pages_(o.populated_slots()) {
     o.invalidate_caches();
   }
   AddressSpace& operator=(const AddressSpace& o) {
     vmas_ = o.vmas_;
-    pages_ = o.pages_;
-    page_gens_ = o.page_gens_;
-    page_stamps_ = o.page_stamps_;
-    epoch_ = o.epoch_;
+    pages_ = o.populated_slots();
+    epoch_ = 1;
     asid_ = next_asid();
     invalidate_caches();
     o.invalidate_caches();
@@ -120,8 +122,6 @@ class AddressSpace {
   AddressSpace(AddressSpace&& o) noexcept
       : vmas_(std::move(o.vmas_)),
         pages_(std::move(o.pages_)),
-        page_gens_(std::move(o.page_gens_)),
-        page_stamps_(std::move(o.page_stamps_)),
         epoch_(o.epoch_),
         asid_(o.asid_) {
     o.invalidate_caches();
@@ -129,8 +129,6 @@ class AddressSpace {
   AddressSpace& operator=(AddressSpace&& o) noexcept {
     vmas_ = std::move(o.vmas_);
     pages_ = std::move(o.pages_);
-    page_gens_ = std::move(o.page_gens_);
-    page_stamps_ = std::move(o.page_stamps_);
     epoch_ = o.epoch_;
     asid_ = o.asid_;
     invalidate_caches();
@@ -194,6 +192,7 @@ class AddressSpace {
   /// Addresses of populated (written-to) pages, ascending. This is what the
   /// checkpointer dumps.
   std::vector<uint64_t> populated_pages() const;
+  uint64_t page_count() const { return populated_pages().size(); }
 
   /// Raw content of one populated page; throws if not populated.
   std::span<const uint8_t> page_bytes(uint64_t page_addr) const;
@@ -209,7 +208,9 @@ class AddressSpace {
   /// form of the populated_pages() filter, used when re-checking a dirty
   /// set (dirty pages may have been dropped or unmapped since stamping).
   bool page_live(uint64_t page_addr) const {
-    return pages_.count(page_addr) != 0 && vma_at(page_addr) != nullptr;
+    auto it = pages_.find(page_addr);
+    return it != pages_.end() && it->second.block != nullptr &&
+           vma_at(page_addr) != nullptr;
   }
 
   /// Installs page content directly (used by restore). Copies the bytes and
@@ -262,22 +263,42 @@ class AddressSpace {
   /// executable VMAs, by install_page, and by map/protect/unmap over the
   /// page (protection flips and re-mapping both change what a fetch sees).
   /// Counters are never removed, so decoded entries keyed (page, gen) go
-  /// stale — they can never be revived by a counter reset.
+  /// stale — they can never be revived by a counter reset. A page with no
+  /// page-table slot (mapped, never written or cached) reads its VMA's
+  /// generation, which map and protect advance; unmap gives every page it
+  /// drops a slot.
   uint64_t page_generation(uint64_t page_addr) const;
 
-  /// Stable pointer to the page's generation counter (created at 0 on first
-  /// use). Valid for this object's lifetime — entries are never erased and
-  /// std::map nodes don't move — letting caches poll invalidation with one
-  /// dereference per executed instruction.
+  /// Stable pointer to the page's generation counter (its slot is created
+  /// on first use). Valid for this object's lifetime — slots are never
+  /// erased and std::map nodes don't move — letting caches poll
+  /// invalidation with one dereference per executed instruction.
   const uint64_t* page_generation_slot(uint64_t page_addr) const;
 
  private:
   using Page = std::vector<uint8_t>;  // always kPageSize long
 
-  /// The page's block, uniquely owned: creates a zero page if absent,
-  /// clones if shared (copy-on-write), and dirty-stamps it. Every byte
-  /// mutation funnels through here.
-  Page& writable_page(uint64_t page_addr);
+  /// One page-table entry, created when a page is first written, cached
+  /// or unmapped. A slot outlives its block: unmapping or dropping a page
+  /// clears `block` but keeps the slot, so generation pointers stay valid
+  /// and the vanished page keeps its dirty stamp.
+  struct PageSlot {
+    PageRef block;       ///< null = not populated (reads observe zeros)
+    uint64_t gen = 0;    ///< see page_generation(); bump-only
+    uint64_t stamp = 0;  ///< epoch of the last content change; 0 = never
+  };
+
+  /// A copy's page table: each populated page's block, with generation
+  /// and stamp starting over.
+  std::map<uint64_t, PageSlot> populated_slots() const;
+
+  /// The page's slot, created with its VMA's generation if absent.
+  PageSlot& slot(uint64_t page) const;
+
+  /// The page's slot with a uniquely owned block: creates a zero page if
+  /// absent, clones a shared one (copy-on-write), and dirty-stamps it.
+  /// Every byte mutation funnels through here — the one COW choke point.
+  PageSlot& writable_page(uint64_t page_addr);
   const Page* find_page(uint64_t page_addr) const;
 
   /// One guest TLB entry: a populated page lying wholly inside one VMA.
@@ -296,7 +317,7 @@ class AddressSpace {
     return tlb_[(page / kPageSize) % kTlbSize];
   }
   /// Drops every TLB entry. O(1) when nothing was filled since the last
-  /// drop (install_page_block calls this once per page on spawn/restore).
+  /// drop (install_page_block calls this once per page on delta restore).
   void invalidate_caches() const {
     if (!tlb_filled_) return;
     tlb_.fill(TlbEntry{});
@@ -313,28 +334,24 @@ class AddressSpace {
 
   static uint64_t next_asid();
 
-  /// Bumps the generation of every page overlapping [start, end) — used by
-  /// the VMA-layout mutators, which change what an instruction fetch sees
-  /// without necessarily touching page bytes.
-  void bump_generations(uint64_t start, uint64_t end);
+  /// Bumps the generation of every slot in [start, end) — used by the
+  /// VMA-layout mutators, which change what an instruction fetch sees
+  /// without necessarily touching page bytes (slotless pages follow their
+  /// VMA's generation).
+  void bump_slots(uint64_t start, uint64_t end);
 
   /// Bumps generations for a byte write to [addr, addr+n) if it lands on
   /// executable VMAs (data-page writes don't concern instruction caches).
   void bump_exec_generations(uint64_t addr, uint64_t n);
 
-  std::map<uint64_t, Vma> vmas_;      // keyed by start
-  std::map<uint64_t, PageRef> pages_;  // keyed by page address
+  std::map<uint64_t, Vma> vmas_;  // keyed by start
 
-  // Page modification counters (see page_generation). Bump-only; mutable so
-  // page_generation_slot can register a zero entry from const readers.
-  mutable std::map<uint64_t, uint64_t> page_gens_;
-
-  // Dirty tracking: the epoch each page was last modified in. Stamps are
-  // written at the current epoch_ by every content mutation (first write
-  // per page per epoch, install, drop, unmap-discard) and compared against
-  // snapshot_epoch() marks. Entries are never erased — a page that vanished
-  // is precisely one the delta dump must notice.
-  std::map<uint64_t, uint64_t> page_stamps_;
+  // The page table, keyed by page address; slots are never erased. Mutable
+  // so page_generation_slot can create a slot from const readers.
+  // Stamps are written at the current epoch_ by every content mutation
+  // (first write per page per epoch, install, drop, unmap-discard) and
+  // compared against snapshot_epoch() marks.
+  mutable std::map<uint64_t, PageSlot> pages_;
   uint64_t epoch_ = 1;
 
   uint64_t asid_ = next_asid();

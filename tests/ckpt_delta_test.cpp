@@ -267,20 +267,21 @@ TEST(CowAliasing, LiveWritesAndImageEditsAreIsolated) {
   os::Process* p = rig.vos.process(rig.pid);
   uint64_t buf = p->module_named("mut")->binary->find_symbol("buf")->value +
                  p->module_named("mut")->base;
-  std::vector<uint8_t> img_page = img.read_bytes(buf & ~(kPageSize - 1),
+  std::vector<uint8_t> img_page = img.mem.peek_bytes(buf & ~(kPageSize - 1),
                                                  kPageSize);
 
   // Let the guest run: it keeps writing its buffer through pages that the
   // image currently shares. The image must not see any of it.
   image::restore(rig.vos, {.pid = rig.pid, .img = &img});
   rig.vos.run(4000);
-  EXPECT_EQ(img.read_bytes(buf & ~(kPageSize - 1), kPageSize), img_page);
+  EXPECT_EQ(img.mem.peek_bytes(buf & ~(kPageSize - 1), kPageSize), img_page);
 
   // And the reverse: editing the image must not write through to the
   // process it was dumped from.
   std::vector<uint8_t> live_before(kPageSize);
   p->mem.peek(buf & ~(kPageSize - 1), live_before.data(), kPageSize);
-  img.write_u64(buf, 0xdeadbeefULL);
+  const uint64_t scribble = 0xdeadbeefULL;
+  img.mem.poke(buf, &scribble, 8);
   std::vector<uint8_t> live_after(kPageSize);
   p->mem.peek(buf & ~(kPageSize - 1), live_after.data(), kPageSize);
   EXPECT_EQ(live_after, live_before);
@@ -295,13 +296,13 @@ TEST(CowAliasing, ImageStoreSharesBlocksAcrossCopies) {
   store.put(image::ImageKey{1, "a"}, img);
   const uint64_t one_copy = store.resident_bytes();
   store.put(image::ImageKey{1, "b"}, img);
-  EXPECT_EQ(store.bytes_used(), 2 * img.pages.logical_bytes());
+  EXPECT_EQ(store.bytes_used(), 2 * img.pages_bytes());
   // Both stored copies alias the same blocks: the second put() copies
   // metadata only, adding zero resident bytes. Resident for one copy can
   // itself sit below logical — the content-addressed BlockStore interns
   // identical pages (e.g. zero-fill) within a single image too.
   EXPECT_EQ(store.resident_bytes(), one_copy);
-  EXPECT_LE(one_copy, img.pages.logical_bytes());
+  EXPECT_LE(one_copy, img.pages_bytes());
   EXPECT_GT(one_copy, 0u);
 }
 
@@ -502,8 +503,10 @@ TEST(Incremental, GroupCheckpointUsesPerMemberBaselines) {
   ASSERT_EQ(group.size(), 2u);
 
   // Round 1: full group dump seeds the per-pid baselines.
-  std::vector<image::ProcessImage> imgs =
-      image::checkpoint_group(rig.vos, rig.pid);
+  std::vector<image::ProcessImage> imgs;
+  for (int pid : group) {
+    imgs.push_back(image::checkpoint(rig.vos, {.pid = pid}).img);
+  }
   image::BaselineMap baselines;
   for (const auto& img : imgs) {
     baselines[img.core.pid] =
@@ -521,8 +524,14 @@ TEST(Incremental, GroupCheckpointUsesPerMemberBaselines) {
   obs::RingBufferSink ring;
   bus.add_sink(&ring);
   std::vector<image::CkptStats> stats;
-  imgs = image::checkpoint_group(rig.vos, rig.pid, &counter, &bus, &baselines,
-                                 &stats);
+  imgs.clear();
+  for (int pid : group) {
+    image::CkptReport rep = image::checkpoint(
+        rig.vos, {.pid = pid, .faults = &counter, .bus = &bus,
+                  .baselines = &baselines});
+    imgs.push_back(std::move(rep.img));
+    stats.push_back(rep.stats);
+  }
   ASSERT_EQ(imgs.size(), 2u);
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(counter.count(FaultStage::kCheckpoint), 2u);

@@ -143,28 +143,28 @@ TEST(ByteSetTest, EmptySetGapIsWholeWindow) {
 // --- page accounting -----------------------------------------------------
 
 TEST(PageAccountingTest, DisjointRangesMustReallyFillThePage) {
-  CutPlan p;
-  p.blocks = {{"m", 0, 2048}, {"m", 2048, 2048}};
-  auto pages = accounted_full_pages(p);
-  ASSERT_EQ(pages.size(), 1u);
-  EXPECT_EQ(pages[0], 0u);
+  ByteSet s;
+  s.add(0, 2048);
+  s.add(2048, 4096);
+  s.add(8192, 8192 + 2048);
+  EXPECT_EQ(covered_pages(s), std::vector<uint64_t>{0});
 }
 
-TEST(PageAccountingTest, DuplicateRangesDoubleCountLikeTheRewriter) {
-  // Two copies of a half-page range sum to a full page in the rewriter's
-  // per-range arithmetic even though only half the page is covered — the
-  // exact bug class CC005 exists to catch.
-  CutPlan p;
-  p.blocks = {{"m", 0, 2048}, {"m", 0, 2048}};
-  auto pages = accounted_full_pages(p);
-  ASSERT_EQ(pages.size(), 1u);
-  EXPECT_EQ(pages[0], 0u);
+TEST(PageAccountingTest, DuplicateRangesCountOnce) {
+  // Two copies of a half-page range add up to kPageSize bytes but cover
+  // only half the page: summing range lengths per page would drop the
+  // other half, which the plan never named.
+  ByteSet s;
+  s.add(0, 2048);
+  s.add(0, 2048);
+  EXPECT_TRUE(covered_pages(s).empty());
 }
 
 TEST(PageAccountingTest, PartialPageIsNotDropped) {
-  CutPlan p;
-  p.blocks = {{"m", 0, 4095}};
-  EXPECT_TRUE(accounted_full_pages(p).empty());
+  ByteSet s;
+  s.add(0, 4095);
+  s.add(4097, 3 * 4096);
+  EXPECT_EQ(covered_pages(s), std::vector<uint64_t>{8192});
 }
 
 // --- CFG extensions ------------------------------------------------------
@@ -560,41 +560,23 @@ std::shared_ptr<const Binary> build_padded_guest() {
   return std::make_shared<Binary>(b.link());
 }
 
-TEST(RulePageSafetyTest, DoubleCountedRangesDroppingLiveCodeIsError) {
+TEST(RulePageSafetyTest, DuplicateHalvesDropNoPage) {
   auto bin = build_padded_guest();
   uint64_t filler = bin->find_symbol("filler")->value;
-  // Two copies of a half-page range: the rewriter's accounting sums them to
-  // a full page and unmaps it — lead and the filler tail were never covered.
+  // Two copies of a half-page range name half a page: no page is dropped,
+  // so lead and the filler tail stay mapped and CC005 has nothing to flag.
   auto r = check_plan(make_plan(bin,
                                 {{"padded", filler, 2048},
                                  {"padded", filler, 2048}},
                                 Removal::kUnmapPages, Trap::kTerminate));
-  EXPECT_FALSE(r.ok());
-  EXPECT_GE(rule_count(r, kRulePageSafety, Severity::kError), 1u);
-  EXPECT_TRUE(rule_mentions(r, kRulePageSafety, "per-range accounting"));
-}
-
-TEST(RulePageSafetyTest, UncoveredNonCodeBytesAreOnlyWarnings) {
-  auto bin = dynacut::testing::build_toysrv();
-  const melf::Section* text = bin->section(melf::SectionKind::kText);
-  ASSERT_NE(text, nullptr);
-  ASSERT_LT(text->bytes.size(), 2048u);  // all code fits the first half page
-  auto r = check_plan(make_plan(bin,
-                                {{"toysrv", 0, 2048}, {"toysrv", 0, 2048}},
-                                Removal::kUnmapPages, Trap::kTerminate));
-  // Page 0 is dropped, its second half was never named — but there is no
-  // code there, so nothing is provably broken.
-  EXPECT_TRUE(r.ok());
-  EXPECT_GE(rule_count(r, kRulePageSafety, Severity::kWarning), 1u);
+  EXPECT_TRUE(r.by_rule(kRulePageSafety).empty()) << r.format();
 }
 
 TEST(RulePageSafetyTest, PltStubOnDroppedPageStillCalledIsError) {
   auto bin = dynacut::testing::build_toysrv();
   const melf::Section* plt = bin->section(melf::SectionKind::kPlt);
   ASSERT_NE(plt, nullptr);
-  uint64_t off = plt->offset + melf::Binary::kPltStubSize;
-  auto r = check_plan(make_plan(bin,
-                                {{"toysrv", off, 2048}, {"toysrv", off, 2048}},
+  auto r = check_plan(make_plan(bin, {{"toysrv", plt->offset, 4096}},
                                 Removal::kUnmapPages, Trap::kTerminate));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(rule_mentions(r, kRulePageSafety, "PLT stub"));
@@ -604,10 +586,8 @@ TEST(RulePageSafetyTest, GotSlotOnDroppedPageWithLiveStubIsError) {
   auto bin = dynacut::testing::build_toysrv();
   const melf::Section* got = bin->section(melf::SectionKind::kGot);
   ASSERT_NE(got, nullptr);
-  auto r = check_plan(
-      make_plan(bin,
-                {{"toysrv", got->offset, 2048}, {"toysrv", got->offset, 2048}},
-                Removal::kUnmapPages, Trap::kTerminate));
+  auto r = check_plan(make_plan(bin, {{"toysrv", got->offset, 4096}},
+                                Removal::kUnmapPages, Trap::kTerminate));
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(rule_mentions(r, kRulePageSafety, "GOT slot"));
 }
@@ -633,18 +613,6 @@ TEST(RuleGadgetTest, WipingRetfulCodeReducesGadgetStarts) {
   EXPECT_TRUE(r.ok());
   EXPECT_LT(r.gadget_delta, 0);
   EXPECT_FALSE(r.by_rule(kRuleGadget).empty());
-}
-
-TEST(RuleGadgetTest, DisabledByOptions) {
-  auto bin = dynacut::testing::build_toysrv();
-  uint64_t d = bin->find_symbol("dispatch")->value;
-  CheckOptions opts;
-  opts.gadget_delta = false;
-  auto r = check_plan(make_plan(bin, {{"toysrv", d, 1}},
-                                Removal::kBlockFirstByte, Trap::kTerminate),
-                      opts);
-  EXPECT_TRUE(r.by_rule(kRuleGadget).empty());
-  EXPECT_EQ(r.gadget_delta, 0);
 }
 
 // --- CC013 stub reachability / CC014 stub reversibility ------------------
@@ -954,13 +922,13 @@ TEST(DynaCutEnforceTest, RejectsMidInstructionPlan) {
   EXPECT_FALSE(dc.feature_disabled("skewed"));
 }
 
-TEST(DynaCutEnforceTest, RejectsDoubleCountedUnmapPlan) {
+TEST(DynaCutEnforceTest, RejectsUnmapPlanDroppingLivePltStub) {
   BootedToysrv t;
   core::DynaCut dc(t.vos, t.pid);
-  uint64_t d = t.bin->find_symbol("dispatch")->value;
   core::FeatureSpec spec;
-  spec.name = "doubled";
-  spec.blocks = {{"toysrv", d, 2048}, {"toysrv", d, 2048}};
+  spec.name = "plt";
+  spec.blocks = {
+      {"toysrv", t.bin->section(melf::SectionKind::kPlt)->offset, 4096}};
   try {
     dc.disable_feature({spec, core::RemovalPolicy::kUnmapPages,
                        core::TrapPolicy::kTerminate});
@@ -969,7 +937,7 @@ TEST(DynaCutEnforceTest, RejectsDoubleCountedUnmapPlan) {
     EXPECT_NE(std::string(e.what()).find(kRulePageSafety),
               std::string::npos);
   }
-  EXPECT_FALSE(dc.feature_disabled("doubled"));
+  EXPECT_FALSE(dc.feature_disabled("plt"));
 }
 
 TEST(DynaCutEnforceTest, RejectsCrossFunctionRedirect) {
@@ -987,20 +955,6 @@ TEST(DynaCutEnforceTest, RejectsCrossFunctionRedirect) {
   } catch (const StateError& e) {
     EXPECT_NE(std::string(e.what()).find(kRuleRedirect), std::string::npos);
   }
-}
-
-TEST(DynaCutCheckModeTest, WarnModeAppliesRejectablePlans) {
-  BootedToysrv t;
-  core::DynaCut dc(t.vos, t.pid);
-  dc.set_check_mode(core::CheckMode::kWarn);
-  EXPECT_EQ(dc.check_mode(), core::CheckMode::kWarn);
-  core::FeatureSpec spec;
-  spec.name = "skewed";
-  spec.blocks = {{"toysrv", t.bin->find_symbol("dispatch")->value + 1, 1}};
-  dc.disable_feature({spec, core::RemovalPolicy::kBlockFirstByte,
-                     core::TrapPolicy::kTerminate});
-  EXPECT_TRUE(dc.feature_disabled("skewed"));
-  dc.restore_feature("skewed");
 }
 
 TEST(DynaCutCheckModeTest, OffModeSkipsVerification) {

@@ -352,6 +352,89 @@ TEST(DynaCut, UnmapPolicyRemovesWholePagesAndRestores) {
   EXPECT_EQ(bytes[0], 0x90);  // the nop filler is back
 }
 
+/// toysrv's A/B protocol with feature B laid out as exactly the first half
+/// of .text's first page: handle_b comes first, padded to 2048 bytes, so
+/// handle_a and the serving loop share the page's second half.
+std::shared_ptr<const melf::Binary> build_half_page_server() {
+  namespace sys = os::sys;
+  melf::ProgramBuilder b("halfpage");
+  b.rodata_str("alpha_msg", "alpha\n");
+  b.rodata_str("beta_msg", "beta\n");
+  b.bss("buf", 128);
+  auto& hb = b.func("handle_b");
+  hb.mov_rr(1, 13).mov_sym(2, "beta_msg").call_import("write_str").ret();
+  while (hb.size() < kPageSize / 2) hb.nop();
+  b.func("handle_a")
+      .mov_rr(1, 13)
+      .mov_sym(2, "alpha_msg")
+      .call_import("write_str")
+      .ret();
+  auto& m = b.func("main");
+  m.sys(sys::kSocket).mov_rr(12, 0);
+  m.mov_rr(1, 12).mov_ri(2, 80).sys(sys::kBind);
+  m.mov_rr(1, 12).sys(sys::kListen);
+  m.mov_rr(1, 12).sys(sys::kAccept).mov_rr(13, 0);
+  m.label("top")
+      .mov_rr(1, 13)
+      .mov_sym(2, "buf")
+      .mov_ri(3, 128)
+      .call_import("recv_line")
+      .cmp_ri(0, 0)
+      .je("done")
+      .mov_sym(6, "buf")
+      .loadb(7, 6, 0)
+      .cmp_ri(7, 'A')
+      .jne("not_a")
+      .call("handle_a")
+      .jmp("top")
+      .label("not_a")
+      .cmp_ri(7, 'B')
+      .jne("top")
+      .call("handle_b")
+      .jmp("top")
+      .label("done")
+      .mov_ri(1, 0)
+      .sys(sys::kExit);
+  b.set_entry("main");
+  return std::make_shared<melf::Binary>(b.link());
+}
+
+TEST(DynaCut, DuplicateHalfPageBlocksKeepThePageMapped) {
+  // Two copies of feature B's half-page block add up to a page, but they
+  // name only half of it. kUnmapPages drops only pages the plan's bytes
+  // cover, so the page stays mapped, B's half is wiped, and A — served
+  // from the other half — keeps working even with cutcheck off.
+  auto bin = build_half_page_server();
+  ASSERT_EQ(bin->find_symbol("handle_b")->value, 0u);
+  ASSERT_EQ(bin->find_symbol("handle_a")->value, kPageSize / 2);
+  os::Os vos;
+  int pid = vos.spawn(bin, {apps::build_libc()});
+  vos.run();
+  os::HostConn conn = vos.connect(80);
+  conn.send("A\n");
+  vos.run();
+  ASSERT_EQ(conn.recv_all(), "alpha\n");
+
+  FeatureSpec spec;
+  spec.name = "B";
+  spec.blocks = {CovBlock{"halfpage", 0, kPageSize / 2},
+                 CovBlock{"halfpage", 0, kPageSize / 2}};
+  DynaCut dc(vos, pid, {}, CheckMode::kOff);
+  CustomizeReport rep = dc.disable_feature(
+      {spec, RemovalPolicy::kUnmapPages, TrapPolicy::kTerminate});
+  EXPECT_EQ(rep.edits.pages_unmapped, 0u);
+  const os::Process* p = vos.process(pid);
+  ASSERT_NE(p->mem.vma_at(kAppBase), nullptr);
+  EXPECT_EQ(p->mem.peek_bytes(kAppBase, 1)[0], 0xCC);  // B's half: traps
+  EXPECT_EQ(p->mem.peek_bytes(kAppBase + kPageSize / 2, 1)[0],
+            bin->section(melf::SectionKind::kText)->bytes[kPageSize / 2]);
+
+  conn.send("A\n");
+  vos.run();
+  EXPECT_EQ(conn.recv_all(), "alpha\n");
+  EXPECT_EQ(vos.process(pid)->term_signal, 0);
+}
+
 TEST(DynaCut, MultiProcessGroupCustomizedTogether) {
   // A master+worker pair (nginx-style): both processes get the patch.
   namespace sys = os::sys;

@@ -1,6 +1,9 @@
-// Tests for crsim: checkpoint/restore fidelity, image addressing, VMA
-// surgery, serialization, TCP_REPAIR-style socket survival, ImageStore.
+// Tests for crsim: checkpoint/restore fidelity, image memory, serialization,
+// TCP_REPAIR-style socket survival, ImageStore.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "apps/libc.hpp"
 #include "image/checkpoint.hpp"
@@ -17,70 +20,71 @@ using melf::Binary;
 using melf::ProgramBuilder;
 
 // ---------------------------------------------------------------------------
-// ProcessImage addressing primitives
+// ProcessImage memory: the image's own address space
 // ---------------------------------------------------------------------------
 
 ProcessImage blank_image() {
   ProcessImage img;
-  img.add_vma(0x1000, 0x2000, kProtRead | kProtWrite, "test");
+  img.mem.map(0x1000, 0x2000, kProtRead | kProtWrite, "test");
   return img;
+}
+
+uint64_t peek_u64(const ProcessImage& img, uint64_t addr) {
+  uint64_t v = 0;
+  img.mem.peek(addr, &v, 8);
+  return v;
+}
+
+void poke_u64(ProcessImage& img, uint64_t addr, uint64_t v) {
+  img.mem.poke(addr, &v, 8);
 }
 
 TEST(ProcessImage, ReadOfUnpopulatedPageIsZero) {
   ProcessImage img = blank_image();
-  EXPECT_EQ(img.read_u64(0x1100), 0u);
-  EXPECT_TRUE(img.pages.empty());
+  EXPECT_EQ(peek_u64(img, 0x1100), 0u);
+  EXPECT_EQ(img.mem.page_count(), 0u);
 }
 
 TEST(ProcessImage, WriteReadRoundtripAcrossPageBoundary) {
   ProcessImage img = blank_image();
   std::vector<uint8_t> data(100);
   for (size_t i = 0; i < data.size(); ++i) data[i] = uint8_t(i);
-  img.write_bytes(0x1fd0, data);
-  EXPECT_EQ(img.read_bytes(0x1fd0, 100), data);
-  EXPECT_EQ(img.pages.size(), 2u);
+  img.mem.poke_bytes(0x1fd0, data);
+  EXPECT_EQ(img.mem.peek_bytes(0x1fd0, 100), data);
+  EXPECT_EQ(img.mem.page_count(), 2u);
 }
 
 TEST(ProcessImage, AccessOutsideVmaThrows) {
   ProcessImage img = blank_image();
-  EXPECT_THROW(img.read_bytes(0x3000, 1), StateError);
-  EXPECT_THROW(img.read_bytes(0x2ff0, 0x20), StateError);  // straddles end
+  EXPECT_THROW(img.mem.peek_bytes(0x3000, 1), StateError);
+  EXPECT_THROW(img.mem.peek_bytes(0x2ff0, 0x20), StateError);  // straddles end
   uint8_t b = 0;
-  EXPECT_THROW(img.write_bytes(0x0ff8, std::span(&b, 1)), StateError);
+  EXPECT_THROW(img.mem.poke(0x0ff8, &b, 1), StateError);
 }
 
 TEST(ProcessImage, AddVmaRejectsOverlap) {
   ProcessImage img = blank_image();
-  EXPECT_THROW(img.add_vma(0x2000, 0x1000, 0, "x"), StateError);
-  img.add_vma(0x4000, 0x1000, 0, "ok");
-  EXPECT_NE(img.vma_at(0x4000), nullptr);
+  EXPECT_THROW(img.mem.map(0x2000, 0x1000, 0, "x"), StateError);
+  img.mem.map(0x4000, 0x1000, 0, "ok");
+  EXPECT_NE(img.mem.vma_at(0x4000), nullptr);
 }
 
 TEST(ProcessImage, DropRangeRemovesPagesAndSplits) {
   ProcessImage img = blank_image();
-  img.write_u64(0x1000, 1);
-  img.write_u64(0x2000, 2);
-  img.drop_range(0x1000, 0x1000);
-  EXPECT_EQ(img.vma_at(0x1000), nullptr);
-  EXPECT_NE(img.vma_at(0x2000), nullptr);
-  EXPECT_EQ(img.pages.count(0x1000), 0u);
-  EXPECT_EQ(img.read_u64(0x2000), 2u);
-  EXPECT_THROW(img.drop_range(0x7000, 0x1000), StateError);
-}
-
-TEST(ProcessImage, GrowVma) {
-  ProcessImage img = blank_image();
-  img.grow_vma(0x1000, 0x1000);
-  EXPECT_NE(img.vma_at(0x3500), nullptr);
-  img.add_vma(0x5000, 0x1000, 0, "wall");
-  EXPECT_THROW(img.grow_vma(0x1000, 0x2000), StateError);  // hits the wall
-  EXPECT_THROW(img.grow_vma(0x9000, 0x1000), StateError);  // no such VMA
+  poke_u64(img, 0x1000, 1);
+  poke_u64(img, 0x2000, 2);
+  img.mem.unmap(0x1000, 0x1000);
+  EXPECT_EQ(img.mem.vma_at(0x1000), nullptr);
+  EXPECT_NE(img.mem.vma_at(0x2000), nullptr);
+  EXPECT_FALSE(img.mem.page_live(0x1000));
+  EXPECT_EQ(peek_u64(img, 0x2000), 2u);
+  EXPECT_THROW(img.mem.unmap(0x7000, 0x1000), StateError);
 }
 
 TEST(ProcessImage, FindFreeSkipsVmas) {
   ProcessImage img = blank_image();  // [0x1000, 0x3000)
-  EXPECT_EQ(img.find_free(0x1000, 0x1000), 0x3000u);
-  EXPECT_EQ(img.find_free(0x1000, 0x8000), 0x8000u);
+  EXPECT_EQ(img.mem.find_free(0x1000, 0x1000), 0x3000u);
+  EXPECT_EQ(img.mem.find_free(0x1000, 0x8000), 0x8000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -109,14 +113,14 @@ TEST(Checkpoint, FreezesAndCapturesState) {
   EXPECT_EQ(vos.process(pid)->state, os::Process::State::kFrozen);
   EXPECT_EQ(img.core.proc_name, "counter");
   EXPECT_EQ(img.core.pid, pid);
-  EXPECT_GT(img.pages.size(), 0u);
-  EXPECT_GE(img.vmas.size(), 3u);  // text + data/got + stack at minimum
+  EXPECT_GT(img.mem.page_count(), 0u);
+  EXPECT_GE(img.mem.vma_count(), 3u);  // text + data/got + stack at minimum
   EXPECT_FALSE(img.modules.empty());
 
   // Restore and verify the process resumes counting where it left off.
   const melf::Symbol* n = img.modules.back().binary->find_symbol("n");
   uint64_t base = img.modules.back().base;
-  uint64_t count_at_dump = img.read_u64(base + n->value);
+  uint64_t count_at_dump = peek_u64(img, base + n->value);
   restore(vos, {.pid = pid, .img = &img});
   vos.run(5000);
   uint64_t count_later = 0;
@@ -158,7 +162,7 @@ TEST(Checkpoint, ImageEditVisibleAfterRestore) {
   vos.run(2000);
   ProcessImage img = checkpoint(vos, {.pid = pid}).img;
   const melf::Symbol* flag = img.modules.back().binary->find_symbol("flag");
-  img.write_u64(img.modules.back().base + flag->value, 0);
+  poke_u64(img, img.modules.back().base + flag->value, 0);
   restore(vos, {.pid = pid, .img = &img});
   vos.run();
   ASSERT_TRUE(vos.all_exited());
@@ -196,7 +200,10 @@ TEST(Checkpoint, GroupCapturesWholeTree) {
   os::Os vos;
   int pid = vos.spawn(std::make_shared<Binary>(b.link()));
   vos.run(2000);
-  auto images = checkpoint_group(vos, pid);
+  std::vector<ProcessImage> images;
+  for (int member : vos.process_group(pid)) {
+    images.push_back(checkpoint(vos, {.pid = member}).img);
+  }
   ASSERT_EQ(images.size(), 2u);
   EXPECT_EQ(images[0].core.pid, pid);
   EXPECT_EQ(images[1].core.ppid, pid);
@@ -261,17 +268,19 @@ TEST(ImageFormat, EncodeDecodeRoundtrip) {
   EXPECT_EQ(back.core.proc_name, img.core.proc_name);
   EXPECT_EQ(back.core.cpu.ip, img.core.cpu.ip);
   EXPECT_EQ(back.core.cpu.regs, img.core.cpu.regs);
-  ASSERT_EQ(back.vmas.size(), img.vmas.size());
-  for (size_t i = 0; i < img.vmas.size(); ++i) {
-    EXPECT_EQ(back.vmas[i].start, img.vmas[i].start);
-    EXPECT_EQ(back.vmas[i].end, img.vmas[i].end);
-    EXPECT_EQ(back.vmas[i].prot, img.vmas[i].prot);
-    EXPECT_EQ(back.vmas[i].name, img.vmas[i].name);
+  ASSERT_EQ(back.mem.vma_count(), img.mem.vma_count());
+  for (const auto& [start, v] : img.mem.vmas()) {
+    const vm::Vma* b = back.mem.vma_at(start);
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->start, v.start);
+    EXPECT_EQ(b->end, v.end);
+    EXPECT_EQ(b->prot, v.prot);
+    EXPECT_EQ(b->name, v.name);
   }
-  ASSERT_EQ(back.pages.size(), img.pages.size());
-  for (const auto& [addr, block] : img.pages) {
-    ASSERT_TRUE(back.pages.count(addr));
-    EXPECT_EQ(back.pages.at(addr), *block);
+  ASSERT_EQ(back.mem.populated_pages(), img.mem.populated_pages());
+  for (uint64_t addr : img.mem.populated_pages()) {
+    EXPECT_TRUE(std::ranges::equal(back.mem.page_bytes(addr),
+                                   img.mem.page_bytes(addr)));
   }
   ASSERT_EQ(back.fds.size(), img.fds.size());
   ASSERT_EQ(back.modules.size(), img.modules.size());
@@ -287,12 +296,34 @@ TEST(ImageFormat, EncodeDecodeRoundtrip) {
 TEST(ImageFormat, DecodeRejectsGarbage) {
   std::vector<uint8_t> junk(16, 0x41);
   EXPECT_THROW(ProcessImage::decode(junk), DecodeError);
+
+  // Well-formed framing around malformed memory. An encoded image ends
+  // with ... | VMA "next": start, end, prot, name | npages | page address |
+  // page bytes | nfds = 0 | nmodules = 0.
+  ProcessImage img = blank_image();
+  img.mem.map(0x4000, 0x1000, kProtRead, "next");
+  poke_u64(img, 0x1000, 1);
+  const std::vector<uint8_t> good = img.encode();
+  ASSERT_NO_THROW(ProcessImage::decode(good));
+  const size_t page_addr = good.size() - 8 - kPageSize - 8;
+  const size_t next_end = page_addr - 4 - 4 - 4 - 4 - 8;
+  auto with = [&](size_t off, uint64_t v) {
+    std::vector<uint8_t> bad = good;
+    std::memcpy(bad.data() + off, &v, 8);
+    return bad;
+  };
+  EXPECT_THROW(ProcessImage::decode(with(page_addr, 0x9000)), DecodeError);
+  EXPECT_THROW(ProcessImage::decode(with(page_addr, 0x1008)), DecodeError);
+  EXPECT_THROW(ProcessImage::decode(with(next_end - 8, 0x2000)), DecodeError);
+  EXPECT_THROW(ProcessImage::decode(with(next_end, 0x4800)), DecodeError);
+  EXPECT_THROW(ProcessImage::decode(with(next_end, uint64_t{1} << 40)),
+               DecodeError);
 }
 
 TEST(ImageStore, PutGetRoundtrip) {
   ProcessImage img = blank_image();
   img.core.proc_name = "stored";
-  img.write_u64(0x1000, 0xfeed);
+  poke_u64(img, 0x1000, 0xfeed);
   ImageStore store;
   const ImageKey key{7, "SET+TTL"};
   EXPECT_FALSE(store.contains(key));
@@ -300,28 +331,23 @@ TEST(ImageStore, PutGetRoundtrip) {
   EXPECT_TRUE(store.contains(key));
   ProcessImage back = store.get(key);
   EXPECT_EQ(back.core.proc_name, "stored");
-  EXPECT_EQ(back.read_u64(0x1000), 0xfeedu);
+  EXPECT_EQ(peek_u64(back, 0x1000), 0xfeedu);
   EXPECT_GT(store.bytes_used(), 0u);
   EXPECT_THROW(store.get(ImageKey{7, "missing"}), StateError);
   EXPECT_THROW(store.get(ImageKey{8, "SET+TTL"}), StateError);
 }
 
-TEST(ImageStore, ListAndEraseTypedKeys) {
+TEST(ImageStore, EraseTypedKeys) {
   ProcessImage img = blank_image();
   ImageStore store;
   store.put(ImageKey{1, ImageKey::kPreTag}, img);
   store.put(ImageKey{1, "SET"}, img);
   store.put(ImageKey{2, ImageKey::kPreTag}, img);
-  std::vector<ImageKey> keys = store.list();
-  ASSERT_EQ(keys.size(), 3u);
-  // list() is ordered: by pid, then by feature-set tag.
-  EXPECT_EQ(keys[0], (ImageKey{1, "SET"}));
-  EXPECT_EQ(keys[1], (ImageKey{1, ImageKey::kPreTag}));
-  EXPECT_EQ(keys[2], (ImageKey{2, ImageKey::kPreTag}));
   EXPECT_EQ(store.erase(ImageKey{1, "SET"}), 1u);
   EXPECT_EQ(store.erase(ImageKey{1, "SET"}), 0u);
   EXPECT_FALSE(store.contains(ImageKey{1, "SET"}));
-  EXPECT_EQ(store.list().size(), 2u);
+  EXPECT_TRUE(store.contains(ImageKey{1, ImageKey::kPreTag}));
+  EXPECT_TRUE(store.contains(ImageKey{2, ImageKey::kPreTag}));
 }
 
 TEST(ImageStore, DeserializedImageRestoresProcess) {

@@ -69,8 +69,8 @@ void expect_same_model(const slicer::SliceModel& a,
 /// A seeded plan over `bin`'s code shaped to stress the CC006 windows:
 /// whole blocks, adjacent and overlapping ranges whose windows merge, a
 /// range running past the end of .text (the clamped fill) and, under
-/// kUnmapPages, a whole page plus a page named as two duplicate halves
-/// (both dropped by the page accounting).
+/// kUnmapPages, a whole page (dropped) plus a page named as two duplicate
+/// halves (kept mapped: only half of it is named).
 CutPlan random_plan(const std::shared_ptr<const melf::Binary>& bin,
                     const analysis::StaticCfg& cfg, Removal removal,
                     Mechanism mechanism, uint64_t seed) {
@@ -106,6 +106,13 @@ CutPlan random_plan(const std::shared_ptr<const melf::Binary>& bin,
   return p;
 }
 
+/// The pages kUnmapPages drops for `plan`.
+std::vector<uint64_t> dropped_pages(const CutPlan& plan) {
+  cutcheck::ByteSet named;
+  for (const auto& [off, size] : plan.ranges()) named.add(off, off + size);
+  return cutcheck::covered_pages(named);
+}
+
 /// The whole module's gadget starts before and after `plan`, from two
 /// scan_gadgets passes over its simulated rewrite — CC006 without windows.
 std::pair<uint64_t, uint64_t> full_scans(const CutPlan& plan) {
@@ -124,7 +131,7 @@ std::pair<uint64_t, uint64_t> full_scans(const CutPlan& plan) {
     }
   }
   if (plan.removal == Removal::kUnmapPages) {
-    for (uint64_t page : cutcheck::accounted_full_pages(plan)) {
+    for (uint64_t page : dropped_pages(plan)) {
       const vm::Vma* v = mem.vma_at(kAppBase + page);
       if (v != nullptr && v->contains(kAppBase + page + kPageSize - 1)) {
         mem.unmap(kAppBase + page, kPageSize);
@@ -300,7 +307,7 @@ TEST(WindowedGadgetDeltaTest, EqualsTwoWholeModuleScans) {
         SCOPED_TRACE(bin->name + " " + cutcheck::removal_name(removal) +
                      " seed " + std::to_string(seed));
         if (removal == Removal::kUnmapPages) {
-          EXPECT_FALSE(cutcheck::accounted_full_pages(plan).empty());
+          EXPECT_FALSE(dropped_pages(plan).empty());
         }
         const auto [before, after] = full_scans(plan);
         const int64_t delta =

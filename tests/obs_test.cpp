@@ -593,7 +593,7 @@ TEST(ObsIntegration, VerifierLogHealsAndClampWarning) {
   CustomizeReport rep =
       dc.disable_feature({.feature = px.feature_b,
                           .removal = RemovalPolicy::kBlockFirstByte,
-                          .check = core::CheckMode::kWarn,
+                          .check = core::CheckMode::kOff,
                           .mechanism = core::CutMechanism::kStub});
   ASSERT_GE(rep.edits.callsites_stubbed, 1u);
   const os::LoadedModule* stub_lib = p->module_named(core::kStubLibName);

@@ -1,6 +1,6 @@
 // Tests for the image rewriter: byte patches + undo, trap insertion, page
-// unmapping, VMA surgery, sigaction rewriting and PI library injection with
-// GOT/PLT relocation.
+// unmapping, sigaction rewriting and PI library injection with GOT/PLT
+// relocation.
 #include <gtest/gtest.h>
 
 #include "apps/libc.hpp"
@@ -35,20 +35,27 @@ struct Fixture {
   uint64_t sym(const std::string& name) const {
     return app_base() + bin->find_symbol(name)->value;
   }
+  uint8_t u8(uint64_t addr) const { return img.mem.peek_bytes(addr, 1)[0]; }
+  uint64_t u64(uint64_t addr) const {
+    uint64_t v = 0;
+    img.mem.peek(addr, &v, 8);
+    return v;
+  }
+  void put_u64(uint64_t addr, uint64_t v) { img.mem.poke(addr, &v, 8); }
 };
 
 TEST(Rewriter, WriteBytesRecordsOriginal) {
   Fixture fx;
   ImageRewriter rw(fx.img);
   uint64_t addr = fx.sym("handle_b");
-  std::vector<uint8_t> before = fx.img.read_bytes(addr, 4);
+  std::vector<uint8_t> before = fx.img.mem.peek_bytes(addr, 4);
   std::vector<uint8_t> patch{1, 2, 3, 4};
   PatchRecord rec = rw.write_bytes(addr, patch);
   EXPECT_EQ(rec.vaddr, addr);
   EXPECT_EQ(rec.original, before);
-  EXPECT_EQ(fx.img.read_bytes(addr, 4), patch);
+  EXPECT_EQ(fx.img.mem.peek_bytes(addr, 4), patch);
   rw.undo(rec);
-  EXPECT_EQ(fx.img.read_bytes(addr, 4), before);
+  EXPECT_EQ(fx.img.mem.peek_bytes(addr, 4), before);
 }
 
 TEST(Rewriter, BlockFirstByteInsertsTrap) {
@@ -56,11 +63,11 @@ TEST(Rewriter, BlockFirstByteInsertsTrap) {
   ImageRewriter rw(fx.img);
   uint64_t addr = fx.sym("handle_b");
   PatchRecord rec = rw.block_first_byte(addr);
-  EXPECT_EQ(fx.img.read_u8(addr), 0xCC);
+  EXPECT_EQ(fx.u8(addr), 0xCC);
   EXPECT_EQ(rec.original.size(), 1u);
   EXPECT_NE(rec.original[0], 0xCC);
   // Bytes after the first are untouched.
-  EXPECT_EQ(fx.img.read_bytes(addr + 1, 2),
+  EXPECT_EQ(fx.img.mem.peek_bytes(addr + 1, 2),
             std::vector<uint8_t>(
                 {fx.bin->section(melf::SectionKind::kText)
                      ->bytes[fx.bin->find_symbol("handle_b")->value + 1],
@@ -75,10 +82,10 @@ TEST(Rewriter, WipeFillsWholeRangeWithTraps) {
   uint64_t size = fx.bin->find_symbol("handle_b")->size;
   PatchRecord rec = rw.wipe(addr, size);
   for (uint64_t i = 0; i < size; ++i) {
-    EXPECT_EQ(fx.img.read_u8(addr + i), 0xCC);
+    EXPECT_EQ(fx.u8(addr + i), 0xCC);
   }
   rw.undo(rec);
-  EXPECT_NE(fx.img.read_u8(addr), 0xCC);
+  EXPECT_NE(fx.u8(addr), 0xCC);
 }
 
 TEST(Rewriter, UndoDoesNotInflatePatchStats) {
@@ -119,9 +126,9 @@ TEST(Rewriter, UnmapPagesDropsRange) {
   Fixture fx;
   ImageRewriter rw(fx.img);
   uint64_t text = fx.app_base();  // .text VMA start
-  ASSERT_NE(fx.img.vma_at(text), nullptr);
+  ASSERT_NE(fx.img.mem.vma_at(text), nullptr);
   rw.unmap_pages(text, kPageSize);
-  EXPECT_EQ(fx.img.vma_at(text), nullptr);
+  EXPECT_EQ(fx.img.mem.vma_at(text), nullptr);
   EXPECT_GT(rw.pages_touched(), 0u);
 }
 
@@ -134,32 +141,21 @@ TEST(Rewriter, SetSigactionUpdatesCore) {
   EXPECT_THROW(rw.set_sigaction(99, 0, 0), StateError);
 }
 
-TEST(Rewriter, MakeCodeWritableAddsWToExecVmas) {
-  Fixture fx;
-  ImageRewriter rw(fx.img);
-  rw.make_code_writable("toysrv");
-  const image::VmaImage* text = fx.img.vma_at(fx.app_base());
-  ASSERT_NE(text, nullptr);
-  EXPECT_TRUE(text->prot & kProtWrite);
-  EXPECT_TRUE(text->prot & kProtExec);
-  EXPECT_THROW(rw.make_code_writable("nope"), StateError);
-}
-
 TEST(Rewriter, InjectLibraryCreatesVmasAndModule) {
   Fixture fx;
   ImageRewriter rw(fx.img);
-  size_t vmas_before = fx.img.vmas.size();
+  uint64_t vmas_before = fx.img.mem.vma_count();
   auto lib = core::build_redirect_lib(8);
   uint64_t base = rw.inject_library(lib);
   EXPECT_NE(base, 0u);
   EXPECT_EQ(base % kPageSize, 0u);
-  EXPECT_GT(fx.img.vmas.size(), vmas_before);
+  EXPECT_GT(fx.img.mem.vma_count(), vmas_before);
   ASSERT_NE(fx.img.module_named(core::kSigLibName), nullptr);
   // Code bytes are in place.
   uint64_t handler = rw.symbol_addr(core::kSigLibName, "dynacut_handler");
-  EXPECT_NE(fx.img.read_u8(handler), 0u);
+  EXPECT_NE(fx.u8(handler), 0u);
   // The chosen base does not collide with existing modules.
-  EXPECT_NE(fx.img.vma_at(base), nullptr);
+  EXPECT_NE(fx.img.mem.vma_at(base), nullptr);
 }
 
 TEST(Rewriter, InjectAtExplicitBase) {
@@ -190,7 +186,7 @@ TEST(Rewriter, InjectResolvesGotAgainstLoadedLibc) {
   ImageRewriter rw(fx.img);
   uint64_t base = rw.inject_library(lib);
   uint64_t got_addr = base + lib->got_slot_offset(0);
-  uint64_t strlen_addr = fx.img.read_u64(got_addr);
+  uint64_t strlen_addr = fx.u64(got_addr);
 
   const image::ModuleImage* libc = fx.img.module_named("libc.so");
   ASSERT_NE(libc, nullptr);
@@ -213,11 +209,11 @@ TEST(Rewriter, UnloadLibraryRemovesVmasAndModule) {
   ImageRewriter rw(fx.img);
   auto lib = core::build_redirect_lib(8);
   uint64_t base = rw.inject_library(lib);
-  size_t vmas_with = fx.img.vmas.size();
+  uint64_t vmas_with = fx.img.mem.vma_count();
   rw.unload_library(core::kSigLibName);
   EXPECT_EQ(fx.img.module_named(core::kSigLibName), nullptr);
-  EXPECT_LT(fx.img.vmas.size(), vmas_with);
-  EXPECT_EQ(fx.img.vma_at(base), nullptr);
+  EXPECT_LT(fx.img.mem.vma_count(), vmas_with);
+  EXPECT_EQ(fx.img.mem.vma_at(base), nullptr);
   EXPECT_THROW(rw.unload_library("gone"), StateError);
 }
 
@@ -264,9 +260,9 @@ TEST(Rewriter, InjectedRedirectLibWorksInGuest) {
   (void)base;
   uint64_t count = rw.symbol_addr(core::kSigLibName, "redirect_count");
   uint64_t table = rw.symbol_addr(core::kSigLibName, "redirect_table");
-  fx.img.write_u64(table, trap_addr);
-  fx.img.write_u64(table + 8, target);
-  fx.img.write_u64(count, 1);
+  fx.put_u64(table, trap_addr);
+  fx.put_u64(table + 8, target);
+  fx.put_u64(count, 1);
   rw.set_sigaction(os::sig::kSigTrap,
                    rw.symbol_addr(core::kSigLibName, "dynacut_handler"),
                    rw.symbol_addr(core::kSigLibName, "dynacut_restorer"));

@@ -2,8 +2,8 @@
 // dataflow lattice and per-function facts, indirect-target resolution
 // (PLT / jump table / exact offset / unresolved), feature_slice closure
 // witnesses, plan expansion, the cutcheck rule matrix CC007–CC012 (one
-// guest that trips each rule and one near-miss that must not), per-rule
-// CheckOptions knobs, and the DynaCut expand_to_slice integration.
+// guest that trips each rule and one near-miss that must not), and the
+// DynaCut expand_to_slice integration.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -32,7 +32,6 @@ namespace slicer = analysis::slicer;
 namespace cutcheck = analysis::cutcheck;
 using analysis::CfgBlock;
 using analysis::CovBlock;
-using cutcheck::CheckOptions;
 using cutcheck::CheckReport;
 using cutcheck::CutPlan;
 using cutcheck::Removal;
@@ -605,37 +604,6 @@ TEST(RuleStubReachTest, CuttingTheStubItselfTrips) {
   EXPECT_TRUE(rule_mentions(r, cutcheck::kRuleStubReach, "itself removed"));
 }
 
-// --- per-rule CheckOptions knobs -----------------------------------------
-
-TEST(CheckOptionsTest, SuppressDropsARulesFindings) {
-  auto bin = build_data_pointer_guest();
-  slicer::SliceModel m = slicer::analyze(*bin);
-  CutPlan p = make_plan(bin,
-                        {whole_block(m, "dptr",
-                                     bin->find_symbol("victim")->value)},
-                        Removal::kWipeBlocks, Trap::kVerify);
-  CheckOptions opts;
-  opts.suppress.insert(cutcheck::kRuleDataReach);
-  CheckReport r = cutcheck::check_plan(p, opts);
-  EXPECT_EQ(r.by_rule(cutcheck::kRuleDataReach).size(), 0u);
-  EXPECT_TRUE(r.ok()) << r.format();  // CC009 was the only error
-}
-
-TEST(CheckOptionsTest, SeverityOverrideStagesRuleWarnOnly) {
-  auto bin = build_data_pointer_guest();
-  slicer::SliceModel m = slicer::analyze(*bin);
-  CutPlan p = make_plan(bin,
-                        {whole_block(m, "dptr",
-                                     bin->find_symbol("victim")->value)},
-                        Removal::kWipeBlocks, Trap::kVerify);
-  CheckOptions opts;
-  opts.severity_override[cutcheck::kRuleDataReach] = Severity::kWarning;
-  CheckReport r = cutcheck::check_plan(p, opts);
-  EXPECT_EQ(rule_count(r, cutcheck::kRuleDataReach, Severity::kWarning), 1u);
-  EXPECT_EQ(rule_count(r, cutcheck::kRuleDataReach, Severity::kError), 0u);
-  EXPECT_TRUE(r.ok()) << r.format();
-}
-
 TEST(DiagnosticsTest, FindingsCarryEnclosingFunction) {
   auto bin = build_interior_target_guest();
   slicer::SliceModel m = slicer::analyze(*bin);
@@ -720,22 +688,6 @@ TEST(DynaCutSliceTest, ObservedOnlyRequestStillPatchesJustTheSeed) {
   core::CustomizeReport rep = dc.disable_feature(req);
   EXPECT_EQ(rep.edits.blocks_patched, 1u);
   EXPECT_EQ(rep.timing.analysis_ns, 0u);
-}
-
-TEST(DynaCutSliceTest, RequestCheckOptionsReachPreflight) {
-  BootedToysrv t;
-  core::DynaCut dc(t.vos, t.pid);
-  core::CutRequest req;
-  req.feature.name = "feature-a";
-  slicer::SliceModel m = slicer::analyze(*t.bin);
-  req.feature.blocks = {whole_block(m, "toysrv", arm_a_block(m, *t.bin))};
-  CheckReport with_note = dc.preflight(req);
-  EXPECT_EQ(rule_count(with_note, cutcheck::kRulePartialSlice,
-                       Severity::kNote),
-            1u);
-  req.check_options.suppress.insert(cutcheck::kRulePartialSlice);
-  CheckReport suppressed = dc.preflight(req);
-  EXPECT_EQ(suppressed.by_rule(cutcheck::kRulePartialSlice).size(), 0u);
 }
 
 }  // namespace

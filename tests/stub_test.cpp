@@ -79,7 +79,7 @@ struct StubPipeline {
     return CutRequest{.feature = handle_b_spec,
                       .removal = RemovalPolicy::kBlockFirstByte,
                       .trap = trap,
-                      .check = CheckMode::kWarn,
+                      .check = CheckMode::kOff,
                       .mechanism = CutMechanism::kStub};
   }
 };
@@ -331,7 +331,10 @@ struct GotRig {
     // Park the process in its nanosleep before cutting: a raw instruction
     // budget can strand the ip at the gadget entry mid-call, where the
     // int3 safety net (correctly) fires on resume regardless of mechanism.
-    while (vos.process(pid)->state != os::Process::State::kBlocked) {
+    // Bounded, so a guest that exits instead fails the test, not the run.
+    for (int step = 0;
+         vos.process(pid)->state != os::Process::State::kBlocked; ++step) {
+      if (step == 100'000) throw StateError("GotRig: guest never blocked");
       vos.run(1);
     }
   }

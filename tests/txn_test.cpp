@@ -462,7 +462,7 @@ TEST(Txn, ScribbledTableCountFailsTheNextDisableCleanly) {
         Case{kStubSlots, TrapPolicy::kTerminate, CutMechanism::kStub}}) {
     SCOPED_TRACE(c.table.count_sym);
     ServerRig srv;
-    DynaCut dc(srv.vos, srv.pid, {}, CheckMode::kWarn);
+    DynaCut dc(srv.vos, srv.pid, {}, CheckMode::kOff);
     const CutRequest req{.feature = srv.feature_b,
                          .removal = RemovalPolicy::kBlockFirstByte,
                          .trap = c.trap,
