@@ -92,7 +92,7 @@ int main() {
               static_cast<double>(store.bytes_used()) / (1024 * 1024));
 
   image::ProcessImage trimmed = store.get(trimmed_key);
-  int pid2 = image::spawn_from_image(vos, trimmed, {.warm_code = true});
+  int pid2 = image::spawn_from_image(vos, trimmed);
   run_until(vos, [&] { return vos.has_listener(apps::kMinihttpdPort); });
   auto conn2 = vos.connect(apps::kMinihttpdPort);
   conn2.send("GET /index\n");

@@ -81,28 +81,6 @@ bool ByteSet::contains(uint64_t off) const {
   return off < it->second;
 }
 
-bool ByteSet::covers(uint64_t begin, uint64_t end) const {
-  if (begin >= end) return true;
-  auto it = iv_.upper_bound(begin);
-  if (it == iv_.begin()) return false;
-  --it;
-  return begin >= it->first && end <= it->second;
-}
-
-std::vector<std::pair<uint64_t, uint64_t>> ByteSet::gaps(uint64_t begin,
-                                                         uint64_t end) const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  uint64_t cur = begin;
-  auto it = iv_.upper_bound(begin);
-  if (it != iv_.begin() && std::prev(it)->second > begin) --it;
-  for (; it != iv_.end() && it->first < end && cur < end; ++it) {
-    if (it->first > cur) out.emplace_back(cur, it->first);
-    cur = std::max(cur, it->second);
-  }
-  if (cur < end) out.emplace_back(cur, end);
-  return out;
-}
-
 std::vector<uint64_t> covered_pages(const ByteSet& bytes) {
   // Touching intervals are merged, so a page is covered entirely only
   // inside one interval.

@@ -90,11 +90,6 @@ class ByteSet {
   /// Inserts [begin, end), merging with neighbours.
   void add(uint64_t begin, uint64_t end);
   bool contains(uint64_t off) const;
-  /// True when [begin, end) is fully covered.
-  bool covers(uint64_t begin, uint64_t end) const;
-  /// The sub-intervals of [begin, end) NOT covered, in order.
-  std::vector<std::pair<uint64_t, uint64_t>> gaps(uint64_t begin,
-                                                  uint64_t end) const;
   bool empty() const { return iv_.empty(); }
   /// The disjoint intervals, begin -> end, ascending.
   const std::map<uint64_t, uint64_t>& intervals() const { return iv_; }

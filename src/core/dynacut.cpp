@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -500,8 +501,12 @@ void DynaCut::remove_blocks(
     CustomizeReport& report,
     const std::map<std::string, std::set<uint64_t>>* skip) {
   // Resolve blocks to absolute ranges; skip modules absent from this image.
+  // A block listed twice is patched and counted once: a second int3 would
+  // stash 0xCC as the block's "original" byte.
   std::vector<std::pair<uint64_t, uint64_t>> ranges;  // (addr, size)
+  std::set<std::tuple<std::string_view, uint64_t, uint64_t>> seen;
   for (const auto& b : blocks) {
+    if (!seen.emplace(b.module, b.offset, b.size).second) continue;
     const image::ModuleImage* m = img.module_named(b.module);
     if (m == nullptr) continue;
     if (skip != nullptr) {

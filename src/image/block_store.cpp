@@ -11,15 +11,6 @@ BlockStore& BlockStore::global() {
   return store;
 }
 
-uint64_t BlockStore::hash_bytes(std::span<const uint8_t> bytes) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 PageRef BlockStore::intern(PageRef block) {
   DYNACUT_ASSERT(block != nullptr && block->size() == kPageSize);
   ++stats_.lookups;

@@ -75,18 +75,15 @@ class BlockStore {
   size_t unique_blocks();
   uint64_t resident_bytes();
 
-  /// The page hash (FNV-1a 64 over the page bytes).
-  static uint64_t hash_bytes(std::span<const uint8_t> bytes);
-
   using HashFn = std::function<uint64_t(std::span<const uint8_t>)>;
-  /// Test hook: replaces the hash (nullptr restores FNV-1a) and clears the
-  /// table, so tests can force deterministic hash collisions and prove the
-  /// full-bytes compare keeps dedup sound.
+  /// Test hook: replaces the hash (nullptr restores vm::page_hash) and
+  /// clears the table, so tests can force deterministic hash collisions and
+  /// prove the full-bytes compare keeps dedup sound.
   void set_hash_for_test(HashFn fn);
 
  private:
   uint64_t hash(std::span<const uint8_t> bytes) const {
-    return hash_ ? hash_(bytes) : hash_bytes(bytes);
+    return hash_ ? hash_(bytes) : vm::page_hash(bytes);
   }
 
   using WeakRef = std::weak_ptr<std::vector<uint8_t>>;

@@ -309,14 +309,6 @@ int spawn_from_image(os::Os& os, const ProcessImage& img,
   for (const auto& m : img.modules) {
     p->modules.push_back(os::LoadedModule{m.name, m.base, m.size, m.binary});
   }
-
-  if (opts.warm_code) {
-    for (const auto& [start, vma] : p->mem.vmas()) {
-      if ((vma.prot & kProtExec) != 0) {
-        p->dcache.warm(p->mem, vma.start, vma.end);
-      }
-    }
-  }
   return os.adopt(std::move(p));
 }
 

@@ -148,9 +148,6 @@ struct SpawnOpts {
   /// Rebind every listening socket of the image to this port (scale-out:
   /// each worker forked from one template image serves its own port).
   std::optional<uint16_t> listen_port;
-  /// Pre-decode the image's executable VMAs into the fresh decode cache so
-  /// the worker starts warm instead of paying cold fetch misses.
-  bool warm_code = false;
 };
 
 /// CRIU restore-as-template: forks a brand-new serving process on `os`
@@ -158,7 +155,8 @@ struct SpawnOpts {
 /// fresh pid/asid/fd table; its memory is a copy of the image's address
 /// space that *shares* the image's content-addressed blocks (O(pages)
 /// pointer shares), so 100 workers cost one resident image plus their
-/// private write sets. Listening
+/// private write sets, and its code runs on the decoded pages its siblings
+/// on `os` already filled (Os::adopt). Listening
 /// sockets are re-created (rebound to `opts.listen_port` when set) and
 /// registered; established connections come back detached with their
 /// buffered bytes. Returns the new pid.

@@ -36,6 +36,7 @@ int Os::spawn(std::shared_ptr<const melf::Binary> app,
   p->pid = next_pid_++;
   p->name = name.empty() ? app->name : name;
   p->core = assign_core();
+  p->dcache.attach(decoded_pages_);
 
   uint64_t lib_base = kLibcBase;
   for (auto& lib : libs) {
@@ -285,6 +286,7 @@ int Os::adopt(std::unique_ptr<Process> p) {
   p->pid = next_pid_++;
   p->core = assign_core();
   p->queued = false;
+  p->dcache.attach(decoded_pages_);
   int pid = p->pid;
   procs_[pid] = std::move(p);
   return pid;
@@ -696,6 +698,7 @@ uint64_t Os::do_fork(Process& parent) {
   child->signal_frames = parent.signal_frames;
   child->modules = parent.modules;
   child->core = assign_core();
+  child->dcache.attach(decoded_pages_);
   child->cpu.regs[0] = 0;  // child's fork() return value
   child->at_block_start = true;
   int pid = child->pid;

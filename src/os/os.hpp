@@ -166,6 +166,10 @@ class Os {
   /// process). Assigns and returns a fresh pid. This is the OS-level hook
   /// image::spawn_from_image (CRIU restore-as-template, defined in the
   /// image layer above this one) builds on.
+  ///
+  /// Every process this Os spawns, adopts or forks decodes its executable
+  /// pages through one machine-wide vm::DecodedPageRegistry, so a worker
+  /// forked from an image starts on the code its siblings decoded.
   int adopt(std::unique_ptr<Process> p);
 
   /// Payload bytes of page blocks held by live address spaces, deduped by
@@ -240,6 +244,9 @@ class Os {
   void block_on_fd(Process& p, Process::BlockKind kind, int fd);
   uint64_t do_fork(Process& p);
 
+  /// Decoded code pages shared by every process of this Os (declared
+  /// before procs_, so it outlives them).
+  vm::DecodedPageRegistry decoded_pages_;
   std::map<int, std::unique_ptr<Process>> procs_;
   int next_pid_ = 100;
   std::vector<Core> cores_{1};

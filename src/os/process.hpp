@@ -64,7 +64,8 @@ struct Process {
 
   /// Per-process decoded-instruction cache. Invalidation is automatic
   /// (page generations + asid); checkpoint restore clears it explicitly
-  /// since the whole address space is rebuilt.
+  /// since the whole address space is rebuilt. Its executable pages come
+  /// from the owning Os's registry, shared with every other process there.
   vm::DecodeCache dcache;
 
   /// Per-process superblock (fused-trace) cache layered above the decode

@@ -8,6 +8,32 @@
 
 namespace dynacut::vm {
 
+uint64_t page_hash(std::span<const uint8_t> bytes) {
+  // Four independent multiply-xorshift lanes over 8-byte words: the lanes'
+  // multiplies overlap, so a page takes 512 of them instead of the 4096
+  // dependent ones of a byte-at-a-time hash.
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  auto mix = [](uint64_t h, uint64_t w) {
+    h = (h ^ w) * kMul;
+    return h ^ (h >> 32);
+  };
+  uint64_t lane[4] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
+                      0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  for (; n >= sizeof lane; p += sizeof lane, n -= sizeof lane) {
+    for (size_t k = 0; k < 4; ++k) {
+      uint64_t w;
+      std::memcpy(&w, p + 8 * k, 8);
+      lane[k] = mix(lane[k], w);
+    }
+  }
+  uint64_t h = bytes.size();
+  for (uint64_t l : lane) h = mix(h, l);
+  for (; n > 0; ++p, --n) h = mix(h, *p);  // a tail shorter than 32 bytes
+  return h;
+}
+
 uint64_t AddressSpace::next_asid() {
   static std::atomic<uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);

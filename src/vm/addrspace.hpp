@@ -55,6 +55,11 @@ inline void bump_share_epoch() {
   detail::g_share_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// The machine's page-content hash: the key of image::BlockStore and of
+/// the decoded-page registry (exec.hpp). Both confirm every hit with a full
+/// byte compare, so the hash only has to spread pages, never to be unique.
+uint64_t page_hash(std::span<const uint8_t> bytes);
+
 /// A virtual memory area (page-aligned [start, end) range).
 struct Vma {
   uint64_t start = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
 #include "vm/ops.hpp"
 #include "vm/superblock.hpp"
 
@@ -93,6 +94,49 @@ VX_INLINE StepResult execute(AddressSpace& mem, Cpu& cpu, const Instr& ins) {
 // DecodeCache
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<DecodedPage> DecodedPageRegistry::attach(
+    std::span<const uint8_t> bytes) {
+  DYNACUT_ASSERT(bytes.size() == kPageSize);
+  if (entries_ >= 2 * live_at_sweep_ + kSweepFloor) sweep();
+  auto& bucket = buckets_[page_hash(bytes)];
+  for (auto it = bucket.begin(); it != bucket.end();) {
+    std::shared_ptr<DecodedPage> candidate = it->lock();
+    if (candidate == nullptr) {
+      it = bucket.erase(it);
+      --entries_;
+      continue;
+    }
+    // Full compare: a hash hit alone never shares decodes.
+    if (std::equal(bytes.begin(), bytes.end(), candidate->bytes.begin())) {
+      return candidate;
+    }
+    ++it;
+  }
+  // A separate control block: the 132 KiB page is freed with its last
+  // process, not with the registry's last weak reference.
+  std::shared_ptr<DecodedPage> page(new DecodedPage);
+  std::copy(bytes.begin(), bytes.end(), page->bytes.begin());
+  bucket.push_back(page);
+  ++entries_;
+  return page;
+}
+
+void DecodedPageRegistry::sweep() {
+  entries_ = 0;
+  for (auto it = buckets_.begin(); it != buckets_.end();) {
+    auto& bucket = it->second;
+    std::erase_if(bucket, [](const auto& page) { return page.expired(); });
+    entries_ += bucket.size();
+    it = bucket.empty() ? buckets_.erase(it) : std::next(it);
+  }
+  live_at_sweep_ = entries_;
+}
+
+void DecodeCache::attach(DecodedPageRegistry& registry) {
+  registry_ = &registry;
+  clear();
+}
+
 void DecodeCache::clear() {
   pages_.clear();
   last_page_ = ~0ull;
@@ -116,21 +160,32 @@ DecodeCache::PageEntry* DecodeCache::entry_for(const AddressSpace& mem,
     e = &it->second;
     if (inserted) {
       e->live_gen = mem.page_generation_slot(page_addr);
-      e->gen = *e->live_gen;
-      e->slots.resize(kPageSize);
+      bind(mem, page_addr, *e);
     }
     last_page_ = page_addr;
     last_entry_ = e;
   }
   if (*e->live_gen != e->gen) {
-    // The page (or its mapping) changed since the slots were decoded: wipe
-    // and adopt the new generation. Slots refill lazily against the new
-    // bytes.
-    std::fill(e->slots.begin(), e->slots.end(), Slot{});
-    e->gen = *e->live_gen;
+    // The page (or its mapping) changed since the slots were decoded:
+    // rebind to the new content. Slots refill lazily against the new bytes.
+    bind(mem, page_addr, *e);
     ++invalidations_;
   }
   return e;
+}
+
+void DecodeCache::bind(const AddressSpace& mem, uint64_t page_addr,
+                       PageEntry& e) {
+  e.gen = *e.live_gen;
+  const Vma* v = mem.vma_at(page_addr);
+  // Sharing needs an executable mapping: a sibling's slots were decoded
+  // under one, and a hit skips the fetch's protection check.
+  if (registry_ != nullptr && v != nullptr && (v->prot & kProtExec) != 0 &&
+      mem.page_live(page_addr)) {
+    e.page = registry_->attach(mem.page_bytes(page_addr));
+  } else {
+    e.page.reset(new DecodedPage);
+  }
 }
 
 bool DecodeCache::fill_slot(const AddressSpace& mem, uint64_t ip, Slot& s) {
@@ -152,7 +207,7 @@ StepResult DecodeCache::fetch(AddressSpace& mem, uint64_t ip,
     return vm::fetch(mem, ip, out);
   }
   PageEntry* e = entry_for(mem, page);
-  Slot& s = e->slots[off];
+  Slot& s = e->page->slots[off];
   if (s.state == kUnknown) {
     ++misses_;
     if (!fill_slot(mem, ip, s)) {
@@ -164,21 +219,6 @@ StepResult DecodeCache::fetch(AddressSpace& mem, uint64_t ip,
   if (s.state == kBad) return {StepKind::kFault, FaultType::kIll, ip, false};
   out = s.ins;
   return {StepKind::kOk, FaultType::kNone, 0, false};
-}
-
-size_t DecodeCache::warm(AddressSpace& mem, uint64_t start, uint64_t end) {
-  size_t decoded = 0;
-  uint64_t ip = start;
-  while (ip < end) {
-    isa::Instr ins;
-    if (fetch(mem, ip, ins).kind == StepKind::kFault) {
-      ++ip;  // undecodable/pad byte: resync one byte forward
-      continue;
-    }
-    ip += ins.length;
-    ++decoded;
-  }
-  return decoded;
 }
 
 // ---------------------------------------------------------------------------
@@ -212,7 +252,7 @@ StepResult DecodeCache::run(AddressSpace& mem, Cpu& cpu, uint64_t max_instr,
       // (e.g. the verifier handler healing its own page) precise.
       const uint64_t* live_gen = e->live_gen;
       const uint64_t gen = e->gen;
-      Slot* slots = e->slots.data();
+      Slot* slots = e->page->slots.data();
       while (n < max_instr && *live_gen == gen) {
         const uint64_t off = cpu.ip - page;
         if (off + isa::kMaxInstrLength > kPageSize) break;  // page edge

@@ -9,9 +9,16 @@
 // map/protect/unmap over it, so live rewrites — int3 patches, trap-handler
 // byte heals, block wipes, unmaps — take effect on the very next fetched
 // instruction; there is no window where a stale decode can execute.
+//
+// The decoded arrays of executable code are shared machine-wide: a
+// DecodedPageRegistry (one per os::Os) keys them by page content, so a
+// worker forked from an image attaches to what its siblings decoded.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -75,44 +82,11 @@ StepResult run_block(AddressSpace& mem, Cpu& cpu, DecodeCache* cache,
                      SuperblockCache* sbc, uint64_t max_instr,
                      uint64_t& retired);
 
-/// Per-page decoded-instruction cache. One per guest CPU/process; pass it
-/// to step()/run_block(). Correctness contract:
-///   * an entry is valid only while AddressSpace::page_generation(page)
-///     equals the generation recorded at fill time (checked per fetch);
-///   * the whole cache resets when it observes a different asid — the
-///     process memory was rebuilt, e.g. by checkpoint restore;
-///   * instructions that could straddle a page boundary (offset within
-///     kMaxInstrLength of the page end) are never cached.
-class DecodeCache {
- public:
-  DecodeCache() = default;
-  // Non-copyable: entries hold generation-slot pointers into a specific
-  // AddressSpace and are meaningless for any other process image.
-  DecodeCache(const DecodeCache&) = delete;
-  DecodeCache& operator=(const DecodeCache&) = delete;
-
-  /// Drops every cached page (stats are kept). Called by checkpoint restore;
-  /// also self-triggers on an asid change.
-  void clear();
-
-  /// Pre-decodes [start, end) of `mem` into the cache — the warm-start path
-  /// of image::spawn_from_image, so a worker forked from an image starts
-  /// its code already decoded instead of paying cold misses. Fills follow
-  /// the demand-miss contract (page-straddlers stay uncached, undecodable
-  /// bytes resync one byte forward) and count as misses. Returns the number
-  /// of instructions decoded.
-  size_t warm(AddressSpace& mem, uint64_t start, uint64_t end);
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t invalidations() const { return invalidations_; }
-  size_t cached_pages() const { return pages_.size(); }
-
- private:
-  friend StepResult step(AddressSpace&, Cpu&, DecodeCache*);
-  friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*,
-                              SuperblockCache*, uint64_t, uint64_t&);
-
+/// One page of decoded instructions: a slot per byte offset. A page the
+/// registry shares also owns a snapshot of the 4 KiB it decodes, so it pins
+/// no page block and never sees a later write to any process's page.
+/// Pages are never re-keyed: a rebind replaces the entry's page.
+struct DecodedPage {
   struct Slot {
     isa::Instr ins;
     uint8_t state = 0;  ///< kUnknown / kValid / kBad
@@ -121,17 +95,104 @@ class DecodeCache {
   static constexpr uint8_t kValid = 1;    ///< ins holds the decode
   static constexpr uint8_t kBad = 2;      ///< undecodable: fetch is SIGILL
 
+  std::array<Slot, kPageSize> slots;
+  std::array<uint8_t, kPageSize> bytes;  ///< the snapshot (shared pages)
+};
+
+/// The machine's decoded code pages, keyed by content (vm::page_hash). One
+/// per os::Os, handed to the DecodeCache of every process it runs. Holds
+/// weak references only: a page dies with its last process.
+class DecodedPageRegistry {
+ public:
+  /// The shared page decoding `bytes` (one page): an existing one whose
+  /// snapshot equals them byte for byte, else a new one, registered.
+  std::shared_ptr<DecodedPage> attach(std::span<const uint8_t> bytes);
+
+  /// Registered pages, dead ones not yet swept included: at most twice
+  /// the pages live at the last sweep, plus kSweepFloor.
+  size_t entries() const { return entries_; }
+
+  static constexpr size_t kSweepFloor = 64;
+
+ private:
+  /// Drops every dead entry. A guest that keeps rewriting its own code
+  /// leaves one dead entry per content it ran; sweeping once the entries
+  /// double keeps them bounded at O(1) amortized cost per attach.
+  void sweep();
+
+  /// hash -> pages; more than one live entry only under a collision. Dead
+  /// entries are also pruned on every bucket walk.
+  std::unordered_map<uint64_t, std::vector<std::weak_ptr<DecodedPage>>>
+      buckets_;
+  size_t entries_ = 0;
+  size_t live_at_sweep_ = 0;
+};
+
+/// Per-page decoded-instruction cache. One per guest CPU/process; pass it
+/// to step()/run_block(). Correctness contract:
+///   * an entry is valid only while AddressSpace::page_generation(page)
+///     equals the generation recorded when it was bound (checked per
+///     fetch); a changed generation rebinds the entry;
+///   * the whole cache resets when it observes a different asid — the
+///     process memory was rebuilt, e.g. by checkpoint restore;
+///   * instructions that could straddle a page boundary (offset within
+///     kMaxInstrLength of the page end) are never cached;
+///   * with a registry, an entry binds the registry's page for its content
+///     only while the page is populated and its VMA executable; any other
+///     page gets a private array. A shared slot holds the decode of the
+///     snapshot's bytes, which equal this process's bytes until its
+///     generation moves, and only executable mappings reach it.
+class DecodeCache {
+ public:
+  DecodeCache() = default;
+  // Non-copyable: entries hold generation-slot pointers into a specific
+  // AddressSpace and are meaningless for any other process image.
+  DecodeCache(const DecodeCache&) = delete;
+  DecodeCache& operator=(const DecodeCache&) = delete;
+
+  /// Shares executable pages through `registry` from now on (os::Os does
+  /// this for every process it starts). Drops the pages cached so far.
+  void attach(DecodedPageRegistry& registry);
+
+  /// Drops every cached page (stats are kept). Called by checkpoint restore;
+  /// also self-triggers on an asid change.
+  void clear();
+
+  /// A fetch served from a decoded slot is a hit, whoever decoded it: with
+  /// a registry, a sibling's fill is a hit here.
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  /// Entries rebound because their page's generation moved.
+  uint64_t invalidations() const { return invalidations_; }
+  size_t cached_pages() const { return pages_.size(); }
+
+ private:
+  friend StepResult step(AddressSpace&, Cpu&, DecodeCache*);
+  friend StepResult run_block(AddressSpace&, Cpu&, DecodeCache*,
+                              SuperblockCache*, uint64_t, uint64_t&);
+
+  using Slot = DecodedPage::Slot;
+  static constexpr uint8_t kUnknown = DecodedPage::kUnknown;
+  static constexpr uint8_t kValid = DecodedPage::kValid;
+  static constexpr uint8_t kBad = DecodedPage::kBad;
+
   struct PageEntry {
     const uint64_t* live_gen = nullptr;  ///< the page's generation counter
     uint64_t gen = 0;                    ///< generation the slots decode
-    std::vector<Slot> slots;             ///< one per byte offset in the page
+    std::shared_ptr<DecodedPage> page;   ///< private or registry-shared
   };
 
   /// Resets the cache if `mem` is not the address space it was filled from.
   void sync(const AddressSpace& mem);
 
-  /// Returns the (validated, possibly freshly wiped) entry for a page.
+  /// Returns the validated entry for a page, (re)bound if it is new or its
+  /// generation moved.
   PageEntry* entry_for(const AddressSpace& mem, uint64_t page_addr);
+
+  /// Binds `e` to the page's current generation and content: the
+  /// registry's page when the page is populated and executable, else a
+  /// new private one.
+  void bind(const AddressSpace& mem, uint64_t page_addr, PageEntry& e);
 
   /// Decodes the instruction at `ip` into `s`. False if the bytes are not
   /// readable as code (caller falls back to the uncached fetch for the
@@ -147,6 +208,7 @@ class DecodeCache {
                  uint64_t& retired);
 
   std::unordered_map<uint64_t, PageEntry> pages_;
+  DecodedPageRegistry* registry_ = nullptr;  ///< see attach()
   uint64_t asid_ = 0;  ///< address space the entries were filled from
   uint64_t last_page_ = ~0ull;      // one-entry lookup memo for hot pages
   PageEntry* last_entry_ = nullptr;

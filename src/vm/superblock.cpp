@@ -1,7 +1,7 @@
 #include "vm/superblock.hpp"
 
+#include <algorithm>
 #include <array>
-#include <set>
 
 #include "vm/ops.hpp"
 
@@ -30,10 +30,19 @@ constexpr std::array<uint8_t, 256> kDenseIndex = [] {
 // ---------------------------------------------------------------------------
 
 void SuperblockCache::clear() {
-  entry_points_.clear();
+  ips_.clear();
+  heat_rows_ = 0;
   blocks_.clear();
-  heat_.clear();
   ++link_epoch_;
+}
+
+void SuperblockCache::clear_heat() {
+  IpMap<IpRow> traced;
+  ips_.for_each([&traced](uint64_t ip, const IpRow& row) {
+    if (row.sb != nullptr) traced[ip] = {row.sb, row.idx, 0};
+  });
+  ips_ = std::move(traced);
+  heat_rows_ = 0;
 }
 
 void SuperblockCache::sync(const AddressSpace& mem) {
@@ -51,9 +60,12 @@ void SuperblockCache::push_event(SbEvent::Kind kind, uint64_t entry,
 
 void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
   for (const auto& o : sb->ops_) {
-    auto it = entry_points_.find(o.ip);
-    if (it != entry_points_.end() && it->second.sb == sb) {
-      entry_points_.erase(it);
+    IpRow* row = ips_.find(o.ip);
+    if (row == nullptr || row->sb != sb) continue;
+    if (row->heat == 0) {
+      ips_.erase(o.ip);
+    } else {
+      row->sb = nullptr;
     }
   }
   ++link_epoch_;  // links into `sb` (or anywhere) must not be followed
@@ -63,7 +75,10 @@ void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
     ++deopts_;
     push_event(SbEvent::kDeopt, sb->entry_, resume_ip);
   }
-  blocks_.erase(sb);
+  const size_t at = sb->slot_;
+  std::swap(blocks_[at], blocks_.back());
+  blocks_[at]->slot_ = at;
+  blocks_.pop_back();  // frees sb
 }
 
 // ---------------------------------------------------------------------------
@@ -73,9 +88,8 @@ void SuperblockCache::retire(Superblock* sb, bool deopt, uint64_t resume_ip) {
 SuperblockCache::Ref SuperblockCache::lookup(const AddressSpace& mem,
                                              uint64_t ip) {
   sync(mem);
-  auto it = entry_points_.find(ip);
-  if (it != entry_points_.end()) {
-    Ref ref = it->second;
+  if (const IpRow* row = ips_.find(ip); row != nullptr && row->sb != nullptr) {
+    const Ref ref{row->sb, row->idx};
     if (!ref.sb->pages_valid()) {
       // A spanned page changed (int3 patch, wipe, unmap, heal) since the
       // trace last ran: retire before anything executes from it. The
@@ -86,9 +100,12 @@ SuperblockCache::Ref SuperblockCache::lookup(const AddressSpace& mem,
     return ref;
   }
   if (blocks_.size() >= kMaxSuperblocks) return {};
-  if (heat_.size() > (1u << 16)) heat_.clear();  // runaway-workload bound
-  if (++heat_[ip] < kHotThreshold) return {};
-  heat_.erase(ip);
+  if (heat_rows_ > (1u << 16)) clear_heat();  // runaway-workload bound
+  IpRow& row = ips_[ip];
+  if (row.heat++ == 0) ++heat_rows_;
+  if (row.heat < kHotThreshold) return {};
+  ips_.erase(ip);  // no trace covers ip: its row was heat only
+  --heat_rows_;
   Superblock* sb = build(mem, ip);
   if (sb == nullptr) return {};
   return {sb, 0};
@@ -98,8 +115,10 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
   auto owned = std::make_unique<Superblock>();
   Superblock* sb = owned.get();
   sb->entry_ = entry;
-  std::unordered_map<uint64_t, int32_t> index_of;
-  std::set<uint64_t> pages;
+  std::vector<uint64_t> pages;  // spanned so far
+  auto spanned = [&pages](uint64_t page) {
+    return std::find(pages.begin(), pages.end(), page) != pages.end();
+  };
 
   // Walk whole basic blocks across fallthrough and direct-branch edges.
   // Only complete, terminated blocks are appended: a scan that ran into an
@@ -112,12 +131,12 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
     if (!bi.terminated) break;
     if (sb->ops_.size() + bi.instr_count > kMaxOps) break;
 
-    std::set<uint64_t> block_pages;
+    size_t new_pages = 0;
     for (uint64_t page = page_floor(ip); page < ip + bi.size;
          page += kPageSize) {
-      if (pages.count(page) == 0) block_pages.insert(page);
+      if (!spanned(page)) ++new_pages;
     }
-    if (pages.size() + block_pages.size() > kMaxPages) break;
+    if (pages.size() + new_pages > kMaxPages) break;
 
     uint64_t cur = ip;
     for (uint32_t i = 0; i < bi.instr_count; ++i) {
@@ -134,11 +153,13 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
       op.imm = ins.imm;
       op.ip = cur;
       op.target = ins.target(cur);  // resolved once, never recomputed
-      index_of.emplace(cur, static_cast<int32_t>(sb->ops_.size()));
       sb->ops_.push_back(op);
       cur += ins.length;
     }
-    pages.insert(block_pages.begin(), block_pages.end());
+    for (uint64_t page = page_floor(ip); page < ip + bi.size;
+         page += kPageSize) {
+      if (!spanned(page)) pages.push_back(page);
+    }
 
     const Superblock::ThreadedOp& last = sb->ops_.back();
     uint64_t next_ip;
@@ -149,10 +170,27 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
     } else {
       break;  // ret/callr/jmpr/syscall/trap: trace ends here
     }
-    if (index_of.count(next_ip) != 0) break;  // loop closed inside the trace
+    if (std::any_of(sb->ops_.begin(), sb->ops_.end(),
+                    [next_ip](const auto& o) { return o.ip == next_ip; })) {
+      break;  // loop closed inside the trace
+    }
     ip = next_ip;
   }
   if (sb->ops_.empty()) return nullptr;
+
+  // (ip, index) of every op, ascending; an ip the trace holds twice (blocks
+  // overlapping at a misaligned entry) resolves to its first op.
+  std::vector<std::pair<uint64_t, int32_t>> index_of;
+  index_of.reserve(sb->ops_.size());
+  for (size_t i = 0; i < sb->ops_.size(); ++i) {
+    index_of.emplace_back(sb->ops_[i].ip, static_cast<int32_t>(i));
+  }
+  std::sort(index_of.begin(), index_of.end());
+  index_of.erase(std::unique(index_of.begin(), index_of.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 index_of.end());
 
   // Thread the ops: successors become trace indices where the target is
   // inside the trace; every successor that leaves it gets its own link
@@ -160,8 +198,12 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
   // one is the exit's target).
   uint32_t exits = 0;
   auto index_or_exit = [&](uint64_t at) {
-    auto f = index_of.find(at);
-    return f == index_of.end() ? Superblock::exit_via(exits++) : f->second;
+    auto f = std::lower_bound(
+        index_of.begin(), index_of.end(), at,
+        [](const auto& entry, uint64_t a) { return entry.first < a; });
+    return f == index_of.end() || f->first != at
+               ? Superblock::exit_via(exits++)
+               : f->second;
   };
   for (size_t i = 0; i < sb->ops_.size(); ++i) {
     Superblock::ThreadedOp& o = sb->ops_[i];
@@ -195,10 +237,16 @@ Superblock* SuperblockCache::build(const AddressSpace& mem, uint64_t entry) {
 
   for (const auto& [op_ip, idx] : index_of) {
     // First trace wins: an ip already claimed by a live superblock keeps
-    // its mapping (the overlap executes identically either way).
-    entry_points_.try_emplace(op_ip, Ref{sb, idx});
+    // its mapping (the overlap executes identically either way). Its heat
+    // stays with the row.
+    IpRow& row = ips_[op_ip];
+    if (row.sb == nullptr) {
+      row.sb = sb;
+      row.idx = idx;
+    }
   }
-  blocks_.emplace(sb, std::move(owned));
+  sb->slot_ = blocks_.size();
+  blocks_.push_back(std::move(owned));
   ++builds_;
   push_event(SbEvent::kBuild, entry, sb->instr_count());
   return sb;
@@ -321,9 +369,9 @@ StepResult SuperblockCache::dispatch(AddressSpace& mem, Cpu& cpu,
     if (n >= max_instr || !events_.empty()) break;
     Superblock::Link& l = at.sb->links_[slot];
     if (l.epoch != link_epoch_ || l.ip != cpu.ip) {
-      auto it = entry_points_.find(cpu.ip);
-      if (it == entry_points_.end()) break;  // lookup counts heat
-      l = {it->second.sb, cpu.ip, link_epoch_, it->second.idx};
+      const IpRow* row = ips_.find(cpu.ip);
+      if (row == nullptr || row->sb == nullptr) break;  // lookup counts heat
+      l = {row->sb, cpu.ip, link_epoch_, row->idx};
     }
     if (!l.sb->pages_valid()) break;  // lookup retires it
     ++chained_;

@@ -43,9 +43,9 @@
 // timestamps are the same with or without links.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -121,6 +121,7 @@ class Superblock {
   };
 
   uint64_t entry_ = 0;
+  size_t slot_ = 0;  ///< index in SuperblockCache::blocks_
   std::vector<ThreadedOp> ops_;
   /// One slot per exiting successor, assigned at build time (ret, callr
   /// and jmpr exits included; syscall and trap exits are events).
@@ -132,6 +133,106 @@ class Superblock {
 };
 // The dispatch loop streams these; keep one op within 40 bytes.
 static_assert(sizeof(Superblock::ThreadedOp) <= 40);
+
+/// A hash map from guest ip to a small value in one flat array: linear
+/// probing over a power-of-two table, backward-shift erase (no
+/// tombstones). A worker's trace tables are a few heap chunks, not a node
+/// per ip.
+template <class V>
+class IpMap {
+ public:
+  /// The slot `ip`'s probe starts at in a table of `capacity` slots (a
+  /// power of two >= 2): the top bits of a Fibonacci hash.
+  static size_t home(uint64_t ip, size_t capacity) {
+    return static_cast<size_t>((ip * 0x9E3779B97F4A7C15ull) >>
+                               (64 - std::countr_zero(capacity)));
+  }
+
+  /// The value at `ip`, or nullptr. Valid until the next insert or erase.
+  V* find(uint64_t ip) {
+    if (size_ == 0) return nullptr;
+    for (size_t i = home(ip, slots_.size());; i = next(i)) {
+      if (!slots_[i].used) return nullptr;
+      if (slots_[i].ip == ip) return &slots_[i].value;
+    }
+  }
+
+  /// The value at `ip`, inserted value-initialized if absent.
+  V& operator[](uint64_t ip) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    size_t i = home(ip, slots_.size());
+    for (; slots_[i].used; i = next(i)) {
+      if (slots_[i].ip == ip) return slots_[i].value;
+    }
+    slots_[i] = Slot{ip, V{}, true};
+    ++size_;
+    return slots_[i].value;
+  }
+
+  /// Removes `ip`; false if it was absent.
+  bool erase(uint64_t ip) {
+    if (size_ == 0) return false;
+    size_t hole = home(ip, slots_.size());
+    for (; slots_[hole].ip != ip || !slots_[hole].used; hole = next(hole)) {
+      if (!slots_[hole].used) return false;
+    }
+    // Backward shift: each later member of the probe run moves into the
+    // hole when the hole lies between its home and its slot (cyclically),
+    // so every key stays reachable from its home without tombstones.
+    const size_t mask = slots_.size() - 1;
+    for (size_t j = next(hole); slots_[j].used; j = next(j)) {
+      if (((j - home(slots_[j].ip, slots_.size())) & mask) >=
+          ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    return true;
+  }
+
+  /// Drops every entry and the table.
+  void clear() {
+    slots_ = std::vector<Slot>();
+    size_ = 0;
+  }
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return slots_.size(); }
+
+  /// Calls f(ip, value) for every entry, in table order.
+  template <class F>
+  void for_each(F f) const {
+    for (const Slot& s : slots_) {
+      if (s.used) f(s.ip, s.value);
+    }
+  }
+
+ private:
+  struct Slot {
+    uint64_t ip = 0;
+    V value{};
+    bool used = false;
+  };
+
+  size_t next(size_t i) const { return (i + 1) & (slots_.size() - 1); }
+
+  /// Doubles the table (16 slots at first) and re-homes every entry.
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    for (const Slot& s : old) {
+      if (!s.used) continue;
+      size_t i = home(s.ip, slots_.size());
+      while (slots_[i].used) i = next(i);
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
 
 /// Per-process superblock cache. One per guest CPU, owned next to the
 /// DecodeCache (os::Process); pass it to run_block. Non-copyable for the
@@ -225,9 +326,21 @@ class SuperblockCache {
 
   void push_event(SbEvent::Kind kind, uint64_t entry, uint64_t detail);
 
-  std::unordered_map<uint64_t, Ref> entry_points_;  ///< every traced ip
-  std::unordered_map<Superblock*, std::unique_ptr<Superblock>> blocks_;
-  std::unordered_map<uint64_t, uint32_t> heat_;
+  /// Forgets every ip's heat, keeping the traced ips.
+  void clear_heat();
+
+  /// One ip's row: the trace position covering it (sb == nullptr: none;
+  /// the first trace to cover an ip keeps it) and its dispatch heat while
+  /// no trace starts there. A row with neither is erased.
+  struct IpRow {
+    Superblock* sb = nullptr;
+    int32_t idx = 0;
+    uint32_t heat = 0;
+  };
+  IpMap<IpRow> ips_;
+  size_t heat_rows_ = 0;  ///< rows with heat > 0
+  /// Every live trace; Superblock::slot_ is its index (swap-remove).
+  std::vector<std::unique_ptr<Superblock>> blocks_;
   std::vector<SbEvent> events_;
   uint64_t asid_ = 0;
   /// Links filled at another epoch are dead. Starts above a fresh Link's 0.

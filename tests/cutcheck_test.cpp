@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -92,7 +93,7 @@ TEST(ByteSetTest, AddMergesOverlapsAndNeighbours) {
   s.add(10, 20);
   s.add(30, 40);
   s.add(18, 30);  // bridges both
-  EXPECT_TRUE(s.covers(10, 40));
+  EXPECT_EQ(s.intervals(), (std::map<uint64_t, uint64_t>{{10, 40}}));
   EXPECT_FALSE(s.contains(9));
   EXPECT_TRUE(s.contains(10));
   EXPECT_TRUE(s.contains(39));
@@ -103,41 +104,7 @@ TEST(ByteSetTest, DuplicateAddsDoNotGrowCoverage) {
   ByteSet s;
   s.add(0, 100);
   s.add(0, 100);
-  EXPECT_TRUE(s.covers(0, 100));
-  EXPECT_FALSE(s.covers(0, 101));
-}
-
-TEST(ByteSetTest, GapsReportsUncoveredIntervalsInOrder) {
-  ByteSet s;
-  s.add(10, 20);
-  s.add(30, 40);
-  auto gaps = s.gaps(0, 50);
-  ASSERT_EQ(gaps.size(), 3u);
-  EXPECT_EQ(gaps[0], std::make_pair(uint64_t{0}, uint64_t{10}));
-  EXPECT_EQ(gaps[1], std::make_pair(uint64_t{20}, uint64_t{30}));
-  EXPECT_EQ(gaps[2], std::make_pair(uint64_t{40}, uint64_t{50}));
-}
-
-TEST(ByteSetTest, GapsOfFullyCoveredWindowIsEmpty) {
-  ByteSet s;
-  s.add(0, 4096);
-  EXPECT_TRUE(s.gaps(512, 1024).empty());
-  EXPECT_TRUE(s.gaps(0, 4096).empty());
-}
-
-TEST(ByteSetTest, GapsStartingInsideAnInterval) {
-  ByteSet s;
-  s.add(0, 100);
-  auto gaps = s.gaps(50, 200);
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0], std::make_pair(uint64_t{100}, uint64_t{200}));
-}
-
-TEST(ByteSetTest, EmptySetGapIsWholeWindow) {
-  ByteSet s;
-  auto gaps = s.gaps(5, 10);
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0], std::make_pair(uint64_t{5}, uint64_t{10}));
+  EXPECT_EQ(s.intervals(), (std::map<uint64_t, uint64_t>{{0, 100}}));
 }
 
 // --- page accounting -----------------------------------------------------

@@ -435,6 +435,67 @@ TEST(DynaCut, DuplicateHalfPageBlocksKeepThePageMapped) {
   EXPECT_EQ(vos.process(pid)->term_signal, 0);
 }
 
+/// Disables feature B of a fresh half-page server with `blocks` under
+/// `removal`/`trap` (cutcheck off); returns the report and the verifier's
+/// (block addr, original byte) rows.
+struct HalfPageCut {
+  CustomizeReport rep;
+  std::vector<std::pair<uint64_t, uint64_t>> orig_rows;
+};
+HalfPageCut cut_half_page_server(const std::vector<CovBlock>& blocks,
+                                 RemovalPolicy removal, TrapPolicy trap) {
+  os::Os vos;
+  int pid = vos.spawn(build_half_page_server(), {apps::build_libc()});
+  vos.run();
+  FeatureSpec spec;
+  spec.name = "B";
+  spec.blocks = blocks;
+  DynaCut dc(vos, pid, {}, CheckMode::kOff);
+  HalfPageCut out{dc.disable_feature({spec, removal, trap}), {}};
+  const os::Process* p = vos.process(pid);
+  const TableRead rows = read_table(*p, kOrigTable);
+  if (const os::LoadedModule* lib = p->module_named(kOrigTable.lib)) {
+    const uint64_t table =
+        lib->base + lib->binary->find_symbol(kOrigTable.records_sym)->value;
+    for (size_t i = 0; i < rows.heads.size(); ++i) {
+      uint64_t original = 0;
+      p->mem.peek(table + i * kOrigTable.record_bytes + 8, &original, 8);
+      out.orig_rows.emplace_back(rows.heads[i], original);
+    }
+  }
+  return out;
+}
+
+TEST(DynaCut, DuplicateBlocksArePatchedOnce) {
+  // A block listed twice is one block: it is patched, counted and charged
+  // once, and the verifier keeps one row with the block's true first byte
+  // (a second patch would have stashed the first patch's 0xCC).
+  const CovBlock b{"halfpage", 0, kPageSize / 2};
+  const uint8_t first_byte =
+      build_half_page_server()->section(melf::SectionKind::kText)->bytes[0];
+  for (auto [removal, trap] :
+       {std::pair{RemovalPolicy::kBlockFirstByte, TrapPolicy::kVerify},
+        std::pair{RemovalPolicy::kUnmapPages, TrapPolicy::kTerminate}}) {
+    SCOPED_TRACE(static_cast<int>(removal));
+    const HalfPageCut once = cut_half_page_server({b}, removal, trap);
+    const HalfPageCut twice = cut_half_page_server({b, b}, removal, trap);
+    EXPECT_EQ(twice.rep.edits.blocks_patched, 1u);
+    EXPECT_EQ(twice.rep.edits.bytes_patched, once.rep.edits.bytes_patched);
+    EXPECT_EQ(twice.rep.timing.code_update_ns,
+              once.rep.timing.code_update_ns);
+    EXPECT_EQ(twice.orig_rows, once.orig_rows);
+  }
+  const HalfPageCut verify = cut_half_page_server(
+      {b, b}, RemovalPolicy::kBlockFirstByte, TrapPolicy::kVerify);
+  EXPECT_EQ(verify.rep.edits.bytes_patched, 1u);
+  ASSERT_EQ(verify.orig_rows.size(), 1u);
+  EXPECT_EQ(verify.orig_rows[0],
+            std::make_pair(uint64_t{kAppBase}, uint64_t{first_byte}));
+  const HalfPageCut unmap = cut_half_page_server(
+      {b, b}, RemovalPolicy::kUnmapPages, TrapPolicy::kTerminate);
+  EXPECT_EQ(unmap.rep.edits.bytes_patched, kPageSize / 2);
+}
+
 TEST(DynaCut, MultiProcessGroupCustomizedTogether) {
   // A master+worker pair (nginx-style): both processes get the patch.
   namespace sys = os::sys;

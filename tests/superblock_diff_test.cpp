@@ -6,6 +6,10 @@
 // identical. The sb.* lifecycle events are the one expected difference:
 // only the superblock tier emits them, so they are left out of the JSONL
 // comparison.
+//
+// The same oracle checks shared decoded pages: workers spawned from one
+// customized minikv image onto one machine (one decoded-page registry)
+// must behave exactly like the same workers each on a machine of its own.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +20,8 @@
 #include "apps/libc.hpp"
 #include "apps/minikv.hpp"
 #include "apps/synth.hpp"
+#include "core/dynacut.hpp"
+#include "image/checkpoint.hpp"
 #include "melf/builder.hpp"
 #include "obs/bus.hpp"
 #include "obs/sinks.hpp"
@@ -211,6 +217,143 @@ Outcome serve_minikv(bool superblocks) {
   record(vos, pids, out);
   out.jsonl = jsonl.str();
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Workers spawned from one customized image
+// ---------------------------------------------------------------------------
+
+constexpr uint16_t kTemplatePort = 6390;
+
+uint16_t worker_port(size_t k) { return static_cast<uint16_t>(6400 + k); }
+
+/// minikv booted to its listener with SET's entry cut (kTerminate), as the
+/// DynaCut store holds it after the cut.
+image::ProcessImage customized_minikv() {
+  os::Os vos;
+  auto bin = apps::build_minikv(kTemplatePort, 64);
+  const int pid = vos.spawn(bin, {apps::build_libc()});
+  for (int i = 0; i < 200 && !vos.has_listener(kTemplatePort); ++i) {
+    vos.run(20'000);
+  }
+  core::FeatureSpec set;
+  set.name = "SET";
+  set.blocks = {{"minikv", bin->find_symbol("cmd_set")->value, 1}};
+  core::DynaCut dc(vos, pid);
+  dc.disable_feature({.feature = set, .trap = core::TrapPolicy::kTerminate});
+  return dc.store().get(dc.image_key(pid));
+}
+
+/// One request on a fresh connection; "" when no reply comes. Runs the
+/// machine until every process parks again, so a worker's instruction
+/// count does not depend on which siblings share its machine (a worker
+/// that reached accept before its next connection arrived pays one more
+/// accept attempt).
+std::string request(os::Os& vos, uint16_t port, const std::string& line) {
+  os::HostConn conn = vos.connect(port);
+  conn.send(line);
+  for (int r = 0; r < 200 && conn.pending() == 0; ++r) vos.run(5'000);
+  std::string reply = conn.recv_all();
+  conn.close();
+  vos.run();
+  return reply;
+}
+
+struct FleetRun {
+  std::vector<uint64_t> retired;
+  std::vector<uint64_t> digests;
+  std::vector<std::string> replies;
+  uint64_t misses = 0;
+};
+
+/// Four workers spawned from `img`, all on one machine or each on its own,
+/// serving the same commands rotated per worker, so each one first runs
+/// code a sibling decoded in another order.
+FleetRun serve_spawned_fleet(const image::ProcessImage& img,
+                             bool one_machine) {
+  constexpr size_t kWorkers = 4;
+  const std::vector<std::string> commands = {
+      "PING\n", "SETRANGE w 0 abc\n", "GET w\n",          "DEL w\n",
+      "GET miss\n", "SETRANGE w 2 xyz\n", "GET w\n"};
+  std::vector<std::unique_ptr<os::Os>> machines;
+  std::vector<std::pair<os::Os*, int>> workers;
+  for (size_t k = 0; k < kWorkers; ++k) {
+    if (!one_machine || machines.empty()) {
+      machines.push_back(std::make_unique<os::Os>());
+    }
+    os::Os& vos = *machines.back();
+    workers.emplace_back(&vos, image::spawn_from_image(
+                                   vos, img, {.listen_port = worker_port(k)}));
+    vos.run();  // parks in accept, as its siblings do
+  }
+  FleetRun out;
+  for (size_t round = 0; round < commands.size(); ++round) {
+    for (size_t k = 0; k < kWorkers; ++k) {
+      out.replies.push_back(
+          request(*workers[k].first, worker_port(k),
+                  commands[(round + k) % commands.size()]));
+    }
+  }
+  for (const auto& [vos, pid] : workers) {
+    const os::Process* p = vos->process(pid);
+    out.retired.push_back(p->instructions_retired);
+    out.digests.push_back(memory_digest(p->mem));
+    out.misses += p->dcache.misses();
+  }
+  return out;
+}
+
+TEST(SuperblockDiff, SpawnedFleetOnOneMachineMatchesSeparateMachines) {
+  const image::ProcessImage img = customized_minikv();
+  const FleetRun shared = serve_spawned_fleet(img, /*one_machine=*/true);
+  const FleetRun alone = serve_spawned_fleet(img, /*one_machine=*/false);
+  EXPECT_EQ(shared.retired, alone.retired);
+  EXPECT_EQ(shared.replies, alone.replies);
+  EXPECT_EQ(shared.digests, alone.digests);
+  // The siblings really ran on each other's decodes.
+  EXPECT_LT(shared.misses, alone.misses);
+  ASSERT_EQ(shared.replies.size(), 28u);
+  EXPECT_EQ(shared.replies[0], "+PONG\n");  // worker 0, round 0
+  for (const std::string& reply : shared.replies) EXPECT_NE(reply, "");
+}
+
+TEST(SuperblockDiff, PatchedWorkerRunsItsOwnBytes) {
+  // Three workers decode their identical PING path into shared pages. An
+  // int3 poked into one worker's cmd_ping rebinds only that worker: it
+  // takes the trap (no SIGTRAP handler: it dies), while its siblings and a
+  // worker spawned after the patch still answer from the shared page.
+  const image::ProcessImage img = customized_minikv();
+  for (bool superblocks : {true, false}) {
+    SCOPED_TRACE(superblocks);
+    os::Os vos;
+    vos.set_superblocks(superblocks);
+    std::vector<int> pids;
+    for (size_t k = 0; k < 3; ++k) {
+      pids.push_back(
+          image::spawn_from_image(vos, img, {.listen_port = worker_port(k)}));
+    }
+    for (int i = 0; i < 10; ++i) {  // past the superblock hot threshold
+      for (size_t k = 0; k < 3; ++k) {
+        ASSERT_EQ(request(vos, worker_port(k), "PING\n"), "+PONG\n");
+      }
+    }
+    os::Process* victim = vos.process(pids[0]);
+    const uint64_t ping =
+        victim->module_named("minikv")->base +
+        victim->module_named("minikv")->binary->find_symbol("cmd_ping")->value;
+    const uint8_t int3 = 0xCC;
+    victim->mem.poke(ping, &int3, 1);
+
+    EXPECT_EQ(request(vos, worker_port(0), "PING\n"), "");
+    EXPECT_EQ(vos.process(pids[0])->term_signal, os::sig::kSigTrap);
+    EXPECT_EQ(request(vos, worker_port(1), "PING\n"), "+PONG\n");
+    EXPECT_EQ(request(vos, worker_port(2), "PING\n"), "+PONG\n");
+    const int late =
+        image::spawn_from_image(vos, img, {.listen_port = worker_port(3)});
+    EXPECT_EQ(request(vos, worker_port(3), "PING\n"), "+PONG\n");
+    EXPECT_LT(vos.process(late)->dcache.misses(),
+              vos.process(pids[0])->dcache.misses());
+  }
 }
 
 TEST(SuperblockDiff, MinikvServingMatchesInterpreter) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <random>
+#include <unordered_map>
 
 #include "common/constants.hpp"
 #include "isa/encode.hpp"
@@ -1437,6 +1440,204 @@ TEST(SuperblockChain, ChainedExitAtBudgetMatchesUnchainedRun) {
     EXPECT_EQ(chained.cpu.ip, unchained.cpu.ip);
     EXPECT_EQ(chained.cpu.regs, unchained.cpu.regs);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared decoded pages (DecodedPageRegistry)
+// ---------------------------------------------------------------------------
+
+/// Runs `m` through `dc` (no superblocks) until an event surfaces.
+StepResult run_cached(Machine& m, DecodeCache& dc) {
+  uint64_t retired = 0;
+  for (int i = 0; i < 100; ++i) {
+    const StepResult r = run_block(m.mem, m.cpu, &dc, nullptr, 1000, retired);
+    if (r.kind != StepKind::kOk) return r;
+  }
+  return {};
+}
+
+/// A block that, when r5 != 0, stores a TRAP byte over its own `victim` nop
+/// further down, then sets r9 = 7 and traps at its end.
+struct SelfPatchingCode {
+  std::vector<uint8_t> bytes;
+  uint64_t victim = 0;
+  uint64_t end_trap = 0;
+};
+SelfPatchingCode self_patching_code() {
+  SelfPatchingCode c;
+  for (int pass = 0; pass < 2; ++pass) {  // the store needs the layout
+    c.bytes.clear();
+    Encoder e(c.bytes);
+    e.cmp_ri(5, 0);
+    const size_t skip = e.branch(Op::kJe, 0);
+    e.mov_ri(1, c.victim);
+    e.mov_ri(2, 0xCC);
+    e.storeb(1, 0, 2);
+    e.patch_rel32(skip, static_cast<int32_t>(e.offset() - (skip + 5)));
+    e.nop();
+    c.victim = 0x1000 + e.nop();
+    e.mov_ri(9, 7);
+    c.end_trap = 0x1000 + e.trap();
+  }
+  return c;
+}
+
+TEST(SharedDecode, SelfPatchingSiblingRebindsAlone) {
+  // Two processes with the same W+X code page share one decoded page: the
+  // second runs entirely on the first's fills. When the first patches its
+  // own page with a guest store, it rebinds alone: it traps on the patched
+  // byte, while the sibling keeps executing its own, unpatched bytes.
+  DecodedPageRegistry registry;
+  const SelfPatchingCode code = self_patching_code();
+  Machine a(code.bytes);
+  Machine b(code.bytes);
+  DecodeCache da;
+  DecodeCache db;
+  for (Machine* m : {&a, &b}) {
+    m->mem.protect(0x1000, 0x1000, kProtRead | kProtWrite | kProtExec);
+  }
+  da.attach(registry);
+  db.attach(registry);
+  ASSERT_EQ(run_cached(a, da).fault_addr, code.end_trap);
+  ASSERT_EQ(run_cached(b, db).fault_addr, code.end_trap);
+  EXPECT_EQ(db.misses(), 0u);  // every fetch was a's fill
+  EXPECT_GT(db.hits(), 0u);
+
+  for (Machine* m : {&a, &b}) {
+    m->cpu.ip = 0x1000;
+    m->cpu.regs[9] = 0;
+  }
+  a.cpu.regs[5] = 1;
+  const StepResult ra = run_cached(a, da);
+  EXPECT_EQ(ra.kind, StepKind::kTrap);
+  EXPECT_EQ(ra.fault_addr, code.victim);
+  EXPECT_EQ(a.cpu.regs[9], 0u);
+  const StepResult rb = run_cached(b, db);
+  EXPECT_EQ(rb.kind, StepKind::kTrap);
+  EXPECT_EQ(rb.fault_addr, code.end_trap);
+  EXPECT_EQ(b.cpu.regs[9], 7u);
+  EXPECT_EQ(da.invalidations(), 1u);
+  EXPECT_EQ(db.invalidations(), 0u);
+}
+
+TEST(SharedDecode, NonExecutableTwinStillFaults) {
+  // Identical bytes in a non-executable mapping fault even after a sibling
+  // decoded that content: a shared slot skips the fetch's protection
+  // check, so only executable mappings may bind one.
+  DecodedPageRegistry registry;
+  const auto code = assemble([](Encoder& e) {
+    e.mov_ri(1, 5);
+    e.trap();
+  });
+  Machine exec(code);
+  Machine data(code);
+  data.mem.protect(0x1000, 0x1000, kProtRead | kProtWrite);
+  DecodeCache de;
+  DecodeCache dd;
+  de.attach(registry);
+  dd.attach(registry);
+  ASSERT_EQ(run_cached(exec, de).kind, StepKind::kTrap);
+
+  for (const StepResult& r :
+       {run_cached(data, dd), step(data.mem, data.cpu, &dd)}) {
+    EXPECT_EQ(r.kind, StepKind::kFault);
+    EXPECT_EQ(r.fault, FaultType::kSegv);
+    EXPECT_EQ(r.fault_addr, 0x1000u);
+  }
+  EXPECT_EQ(data.cpu.regs[1], 0u);
+
+  // Made executable, the same bytes run on the sibling's decode.
+  data.mem.protect(0x1000, 0x1000, kProtRead | kProtExec);
+  const uint64_t misses = dd.misses();
+  EXPECT_EQ(run_cached(data, dd).kind, StepKind::kTrap);
+  EXPECT_EQ(data.cpu.regs[1], 5u);
+  EXPECT_EQ(dd.misses(), misses);
+}
+
+TEST(SharedDecode, RegistrySweepsDeadPages) {
+  // A page dies with its last holder. A stream of one-off contents (a
+  // guest rewriting its own code) leaves dead entries behind, and the
+  // registry sweeps them before they outnumber twice the live pages.
+  DecodedPageRegistry registry;
+  std::vector<uint8_t> bytes(kPageSize);
+  const auto attach = [&registry, &bytes](uint32_t content) {
+    std::memcpy(bytes.data(), &content, sizeof content);
+    return registry.attach(bytes);
+  };
+  const std::shared_ptr<DecodedPage> kept = attach(~0u);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    attach(i);  // dropped at once
+    EXPECT_LE(registry.entries(), 2 + DecodedPageRegistry::kSweepFloor);
+  }
+  EXPECT_EQ(attach(~0u), kept);  // a live page survives every sweep
+}
+
+// ---------------------------------------------------------------------------
+// IpMap (the superblock cache's flat ip table)
+// ---------------------------------------------------------------------------
+
+TEST(IpMap, MatchesUnorderedMapAcrossWrappingClusters) {
+  // Most keys home on the last slot of a 16-slot table — on the last
+  // sixteenth at any size — so they form one probe run that wraps past the
+  // table's end, and erases must shift it back across the wrap. Random
+  // inserts, overwrites, erases, finds and clears agree with unordered_map.
+  std::vector<uint64_t> cluster;
+  for (uint64_t k = 0; cluster.size() < 40; ++k) {
+    if (IpMap<uint64_t>::home(k, 16) == 15) cluster.push_back(k);
+  }
+  IpMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  std::mt19937_64 rng(7);
+  bool wrapped = false;
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t key =
+        rng() % 4 != 0 ? cluster[rng() % cluster.size()] : rng() % 64;
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2: {
+        const uint64_t v = rng();
+        map[key] = v;
+        ref[key] = v;
+        break;
+      }
+      case 3:
+      case 4:
+      case 5:
+        ASSERT_EQ(map.erase(key), ref.erase(key) == 1);
+        break;
+      case 6: {
+        const uint64_t* v = map.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(v != nullptr, it != ref.end());
+        if (v != nullptr) {
+          ASSERT_EQ(*v, it->second);
+        }
+        break;
+      }
+      default:
+        if (rng() % 64 == 0) {
+          map.clear();
+          ref.clear();
+        }
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    // The cluster homes on the last capacity/16 slots: more keys than that
+    // run past the end.
+    const auto present = std::count_if(
+        cluster.begin(), cluster.end(),
+        [&ref](uint64_t k) { return ref.count(k) != 0; });
+    if (map.capacity() != 0 &&
+        static_cast<size_t>(present) > map.capacity() / 16) {
+      wrapped = true;
+    }
+    if (i % 16 == 0) {
+      std::unordered_map<uint64_t, uint64_t> held;
+      map.for_each([&held](uint64_t k, uint64_t v) { held.emplace(k, v); });
+      ASSERT_EQ(held, ref);
+    }
+  }
+  EXPECT_TRUE(wrapped);
 }
 
 }  // namespace
