@@ -23,23 +23,6 @@ namespace {
 using namespace dynacut;
 using bench::run_until;
 
-core::FeatureSpec discover_set_feature(
-    std::shared_ptr<const melf::Binary> bin) {
-  bench::ServerPhases undesired = bench::profile_server(
-      bin, apps::kMinikvPort, {"SET k v\n", "GET k\n", "PING\n"});
-  bench::ServerPhases wanted = bench::profile_server(
-      bin, apps::kMinikvPort,
-      {"SETRANGE k 0 hello\n", "GET k\n", "GET miss\n", "PING\n", "DEL k\n"});
-  core::FeatureSpec spec;
-  spec.name = "SET";
-  spec.blocks = analysis::feature_diff({undesired.serving_log},
-                                       {wanted.serving_log}, "minikv")
-                    .blocks();
-  spec.redirect_module = "minikv";
-  spec.redirect_offset = bin->find_symbol("dispatch_err")->value;
-  return spec;
-}
-
 struct Row {
   const char* name;
   core::CustomizeReport rep;
@@ -117,7 +100,11 @@ int main() {
       "unmap) applied to minikv's SET feature");
 
   auto bin = apps::build_minikv();
-  core::FeatureSpec spec = discover_set_feature(bin);
+  core::FeatureSpec spec = bench::discover_feature(
+      "SET", bin, apps::kMinikvPort, "minikv",
+      {"SET k v\n", "GET k\n", "PING\n"},
+      {"SETRANGE k 0 hello\n", "GET k\n", "GET miss\n", "PING\n", "DEL k\n"},
+      "dispatch_err");
   std::printf("\nfeature: %zu blocks, %llu bytes total\n", spec.blocks.size(),
               (unsigned long long)[&] {
                 uint64_t s = 0;

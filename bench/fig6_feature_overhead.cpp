@@ -12,24 +12,17 @@
 // written to BENCH_cut.json (--out=PATH) — require the stub's per-request
 // overhead to sit within noise of the enabled baseline and at least 5x
 // below the trap's, with zero SIGTRAPs delivered on the stub path.
-#include <cstdio>
 #include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <fstream>
+#include <cstdio>
 #include <set>
-#include <span>
-#include <sstream>
 #include <string>
 
-#include "analysis/coverage.hpp"
 #include "apps/minihttpd.hpp"
 #include "apps/minikv.hpp"
 #include "apps/miniweb.hpp"
 #include "bench_common.hpp"
 #include "apps/libc.hpp"
 #include "core/dynacut.hpp"
-#include "isa/isa.hpp"
 #include "melf/builder.hpp"
 
 namespace {
@@ -39,6 +32,7 @@ using bench::run_until;
 
 struct Row {
   std::string label;
+  std::string key;  ///< summary key: the guest's name
   double image_mb = 0;
   core::CustomizeReport rep;
   /// The warm re-enable toggle: rides the per-pid baseline, so its dump is
@@ -57,16 +51,9 @@ Row customize(const std::string& label,
               const std::string& expect_blocked_reply) {
   // Offline profiling runs (paper §3.1): one trace exercising the unwanted
   // feature, one exercising only wanted features; tracediff their coverage.
-  bench::ServerPhases undesired = bench::profile_server(bin, port,
-                                                        undesired_reqs);
-  bench::ServerPhases wanted = bench::profile_server(bin, port, wanted_reqs);
-  core::FeatureSpec spec;
-  spec.name = "unwanted";
-  spec.blocks = analysis::feature_diff({undesired.serving_log},
-                                       {wanted.serving_log}, module)
-                    .blocks();
-  spec.redirect_module = module;
-  spec.redirect_offset = bin->find_symbol(redirect_symbol)->value;
+  const core::FeatureSpec spec =
+      bench::discover_feature("unwanted", bin, port, module, undesired_reqs,
+                              wanted_reqs, redirect_symbol);
 
   // Production instance.
   os::Os vos;
@@ -78,6 +65,7 @@ Row customize(const std::string& label,
   core::DynaCut dc(vos, pid);
   Row row;
   row.label = label;
+  row.key = module;
   row.rep = dc.disable_feature({spec, core::RemovalPolicy::kBlockFirstByte,
                                core::TrapPolicy::kRedirect});
   row.image_mb = bench::mb(row.rep.edits.image_pages * kPageSize);
@@ -101,6 +89,7 @@ Row customize(const std::string& label,
 
 struct SteadyRow {
   std::string label;
+  std::string key;  ///< summary key: the guest's name
   double enabled = 0;  ///< virtual ns per natively-denied request
   double trap = 0;     ///< per denied request, trap mechanism
   double stub = 0;     ///< per denied request, stub mechanism
@@ -108,15 +97,6 @@ struct SteadyRow {
   uint64_t stub_signals = 0;
   size_t callsites_stubbed = 0;
 };
-
-int g_failures = 0;
-
-void gate(bool ok, const std::string& what) {
-  if (!ok) {
-    std::printf("!! GATE FAILED: %s\n", what.c_str());
-    ++g_failures;
-  }
-}
 
 /// Lets the server group drain back to its accept/recv loop so the cut
 /// never freezes a process mid-feature (where the int3 net would fire
@@ -127,7 +107,7 @@ void park(os::Os& vos) { vos.run(400'000); }
 /// feature with a same-function deny path, one probe per iteration. The
 /// enabled baseline and the denied paths differ only by mechanism, so the
 /// columns isolate the signal round-trip vs the one-branch stub detour.
-SteadyRow micro_steady() {
+SteadyRow micro_steady(bench::Report& report) {
   namespace sys = os::sys;
   melf::ProgramBuilder b("probe");
   b.func("feat").mov_ri(0, 7).ret();
@@ -187,6 +167,7 @@ SteadyRow micro_steady() {
 
   SteadyRow row;
   row.label = "microprobe";
+  row.key = "microprobe";
   vos.run(20'000);  // warm
   uint64_t ignore_sig = 0;
   measure(&row.enabled, &ignore_sig);
@@ -209,38 +190,36 @@ SteadyRow micro_steady() {
   row.callsites_stubbed = rep.edits.callsites_stubbed;
   measure(&row.stub, &row.stub_signals);
 
-  gate(row.callsites_stubbed >= 1, "microprobe: no callsite was stubbed");
-  gate(row.trap_signals >= kIters,
-       "microprobe: trap mechanism delivered fewer SIGTRAPs than probes");
-  gate(row.stub_signals == 0,
-       "microprobe: stub mechanism still delivered SIGTRAPs");
+  report.gate("microprobe.callsite_stubbed", row.callsites_stubbed >= 1,
+              "the stub cut must redirect a callsite");
+  report.gate("microprobe.trap_sigtraps", row.trap_signals >= kIters,
+              "the trap mechanism must deliver a SIGTRAP per probe");
+  report.gate("microprobe.stub_no_sigtraps", row.stub_signals == 0,
+              "the stub mechanism must deliver no SIGTRAP");
   double trap_over = row.trap - row.enabled;
   double stub_over = row.stub - row.enabled;
-  gate(stub_over <= 0.10 * row.enabled,
-       "microprobe: stub-denied probe not within 10% of the enabled "
-       "baseline");
-  gate(trap_over >= 5.0 * std::max(stub_over, 2.0),
-       "microprobe: trap round-trip not >=5x the stub overhead");
+  report.gate("microprobe.stub_within_10pct", stub_over <= 0.10 * row.enabled,
+              "a stub-denied probe must cost within 10% of the baseline");
+  report.gate("microprobe.trap_5x_stub",
+              trap_over >= 5.0 * std::max(stub_over, 2.0),
+              "the trap round-trip must cost >= 5x the stub overhead");
   return row;
 }
 
-SteadyRow steady_state(const std::string& label,
+SteadyRow steady_state(bench::Report& report, const std::string& label,
                        std::shared_ptr<const melf::Binary> bin, uint16_t port,
                        const std::string& module,
                        const std::vector<std::string>& undesired_reqs,
                        const std::vector<std::string>& wanted_reqs,
                        const std::string& redirect_symbol,
+                       const std::string& dispatcher,
                        const std::vector<std::string>& handler_funcs,
                        const std::string& probe_req,
                        const std::string& baseline_req,
                        const std::string& expect_blocked_reply) {
-  bench::ServerPhases undesired = bench::profile_server(bin, port,
-                                                        undesired_reqs);
-  bench::ServerPhases wanted = bench::profile_server(bin, port, wanted_reqs);
-  std::vector<analysis::CovBlock> diff =
-      analysis::feature_diff({undesired.serving_log}, {wanted.serving_log},
-                             module)
-          .blocks();
+  core::FeatureSpec spec =
+      bench::discover_feature("unwanted", bin, port, module, undesired_reqs,
+                              wanted_reqs, redirect_symbol);
 
   // One cut plan, two mechanisms. The plan cuts the handler functions
   // plus the dispatcher's `call handler` arm blocks; the method-compare
@@ -249,7 +228,6 @@ SteadyRow steady_state(const std::string& label,
   // the arm callsite's int3 costs a signal round-trip per probe; under
   // stub the callsite is retargeted at the error path (skip_trap — the
   // redirect IS the denial) and costs one branch.
-  std::set<uint64_t> handler_entries;
   auto in_handler = [&](const analysis::CovBlock& b) {
     for (const std::string& fn : handler_funcs) {
       const melf::Symbol* s = bin->find_symbol(fn);
@@ -259,27 +237,14 @@ SteadyRow steady_state(const std::string& label,
     }
     return false;
   };
-  for (const std::string& fn : handler_funcs) {
-    handler_entries.insert(bin->find_symbol(fn)->value);
+  std::set<uint64_t> arm_calls;
+  for (const analysis::CovBlock& c :
+       bench::calls_into(*bin, module, dispatcher, handler_funcs)) {
+    arm_calls.insert(c.offset);
   }
-  auto is_arm_call = [&](const analysis::CovBlock& b) {
-    const melf::Section* text = bin->section(melf::SectionKind::kText);
-    if (b.offset < text->offset ||
-        b.offset + isa::kMaxInstrLength > text->offset + text->size) {
-      return false;
-    }
-    auto ins = isa::try_decode(std::span<const uint8_t>(
-        text->bytes.data() + (b.offset - text->offset), isa::kMaxInstrLength));
-    return ins && ins->op == isa::Op::kCall &&
-           handler_entries.count(ins->target(b.offset)) != 0;
-  };
-  core::FeatureSpec spec;
-  spec.name = "unwanted";
-  spec.redirect_module = module;
-  spec.redirect_offset = bin->find_symbol(redirect_symbol)->value;
-  for (const analysis::CovBlock& b : diff) {
-    if (in_handler(b) || is_arm_call(b)) spec.blocks.push_back(b);
-  }
+  std::erase_if(spec.blocks, [&](const analysis::CovBlock& b) {
+    return !in_handler(b) && arm_calls.count(b.offset) == 0;
+  });
 
   os::Os vos;
   int pid = vos.spawn(bin, {apps::build_libc()});
@@ -290,33 +255,35 @@ SteadyRow steady_state(const std::string& label,
   bench::request(vos, conn, baseline_req);  // warm the native error path
 
   constexpr int kReqs = 32;
-  auto measure = [&](const std::string& send, const std::string& expect_reply,
-                     double* per_req, uint64_t* signals) {
+  auto measure = [&](const char* phase, const std::string& send,
+                     const std::string& expect_reply, double* per_req,
+                     uint64_t* signals) {
     uint64_t t0 = vos.now();
     uint64_t s0 = vos.total_sigtraps();
-    for (int i = 0; i < kReqs; ++i) {
+    std::string got = expect_reply;
+    for (int i = 0; i < kReqs && got == expect_reply; ++i) {
       // Fine-grained driving: a coarse run() budget would quantize the
       // per-request delta (the multi-process server keeps a poller
       // runnable, so run() burns its whole budget before returning).
       conn.send(send);
       run_until(vos, [&] { return conn.pending() > 0; }, 20000, 250);
-      std::string got = conn.recv_all();
-      if (got != expect_reply) {
-        gate(false, label + ": probe answered '" + got + "' (expected '" +
-                        expect_reply + "')");
-        break;
-      }
+      got = conn.recv_all();
     }
+    report.gate(module + "." + phase + "_replies", got == expect_reply,
+                label + ": probe answered '" + got + "' (expected '" +
+                    expect_reply + "')");
     *per_req = static_cast<double>(vos.now() - t0) / kReqs;
     *signals = vos.total_sigtraps() - s0;
   };
 
   SteadyRow row;
   row.label = label;
+  row.key = module;
   // Baseline: a request the app denies natively — the same error-path
   // reply a cut probe produces, with no mechanism in the way.
   uint64_t ignore_sig = 0;
-  measure(baseline_req, expect_blocked_reply, &row.enabled, &ignore_sig);
+  measure("baseline", baseline_req, expect_blocked_reply, &row.enabled,
+          &ignore_sig);
 
   core::DynaCut dc(vos, pid);
   park(vos);
@@ -325,7 +292,8 @@ SteadyRow steady_state(const std::string& label,
                       .trap = core::TrapPolicy::kRedirect,
                       .expand_to_slice = true,
                       .mechanism = core::CutMechanism::kTrap});
-  measure(probe_req, expect_blocked_reply, &row.trap, &row.trap_signals);
+  measure("trap", probe_req, expect_blocked_reply, &row.trap,
+          &row.trap_signals);
   dc.restore_feature("unwanted");
 
   park(vos);
@@ -336,13 +304,15 @@ SteadyRow steady_state(const std::string& label,
                           .expand_to_slice = true,
                           .mechanism = core::CutMechanism::kStub});
   row.callsites_stubbed = rep.edits.callsites_stubbed;
-  measure(probe_req, expect_blocked_reply, &row.stub, &row.stub_signals);
+  measure("stub", probe_req, expect_blocked_reply, &row.stub,
+          &row.stub_signals);
 
-  gate(row.callsites_stubbed >= 1, label + ": no callsite was stubbed");
-  gate(row.trap_signals >= kReqs,
-       label + ": trap mechanism delivered fewer SIGTRAPs than probes");
-  gate(row.stub_signals == 0,
-       label + ": stub mechanism still delivered SIGTRAPs");
+  report.gate(module + ".callsite_stubbed", row.callsites_stubbed >= 1,
+              "the stub cut must redirect a callsite");
+  report.gate(module + ".trap_sigtraps", row.trap_signals >= kReqs,
+              "the trap mechanism must deliver a SIGTRAP per probe");
+  report.gate(module + ".stub_no_sigtraps", row.stub_signals == 0,
+              "the stub mechanism must deliver no SIGTRAP");
   // The server columns are informational: the native-deny baseline walks
   // a slightly different strcmp path than the probe and the multi-process
   // server's sleep-pollers ride the clock, so the strict 5x gate lives on
@@ -354,10 +324,7 @@ SteadyRow steady_state(const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_cut.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+  bench::Report report("cut", argc, argv);
   bench::banner(
       "Figure 6: overhead of dynamic feature customization\n"
       "(disable web PUT+DELETE / kv SET; redirect to app error path)");
@@ -399,6 +366,14 @@ int main(int argc, char** argv) {
         t.inject_ns / 1e9, t.code_update_ns / 1e9, t.checkpoint_ns / 1e9,
         t.restore_ns / 1e9, stage_s, commit_s, t.total_seconds(),
         r.paper_total_s);
+    for (const auto& [kind, tm] :
+         {std::pair{"cold", &t}, {"warm", &r.warm.timing}}) {
+      const std::string key = "breakdown." + r.key + "." + kind + ".";
+      report.value(key + "inject_ns", tm->inject_ns);
+      report.value(key + "code_update_ns", tm->code_update_ns);
+      report.value(key + "checkpoint_ns", tm->checkpoint_ns);
+      report.value(key + "restore_ns", tm->restore_ns);
+    }
   }
   std::printf(
       "\nShape checks: totals sub-second for all three apps; Nginx costs the\n"
@@ -436,22 +411,25 @@ int main(int argc, char** argv) {
       "Steady state: denied-probe cost, trap vs stub mechanism\n"
       "(virtual ns per request; 1 tick ~ 1ns)");
   std::vector<SteadyRow> steady;
-  steady.push_back(micro_steady());
+  steady.push_back(micro_steady(report));
   steady.push_back(steady_state(
-      "Lighttpd (minihttpd)", apps::build_minihttpd(), apps::kMinihttpdPort,
-      "minihttpd", {"GET /index\n", "PUT /a x\n", "DELETE /a\n"},
-      {"GET /index\n", "HEAD /index\n"}, "http_403",
+      report, "Lighttpd (minihttpd)", apps::build_minihttpd(),
+      apps::kMinihttpdPort, "minihttpd",
+      {"GET /index\n", "PUT /a x\n", "DELETE /a\n"},
+      {"GET /index\n", "HEAD /index\n"}, "http_403", "http_dispatch",
       {"serve_put", "serve_delete"}, "PUT /b y\n", "PATCH /b y\n",
       "403 Forbidden\n"));
   steady.push_back(steady_state(
-      "Nginx (miniweb)", apps::build_miniweb(), apps::kMiniwebPort,
+      report, "Nginx (miniweb)", apps::build_miniweb(), apps::kMiniwebPort,
       "miniweb", {"GET /index\n", "PUT /a x\n", "DELETE /a\n"},
-      {"GET /index\n", "HEAD /index\n"}, "dav_403", {"do_put", "do_delete"},
-      "PUT /b y\n", "PATCH /b y\n", "403 Forbidden\n"));
+      {"GET /index\n", "HEAD /index\n"}, "dav_403", "dav_handler",
+      {"do_put", "do_delete"}, "PUT /b y\n", "PATCH /b y\n",
+      "403 Forbidden\n"));
   steady.push_back(steady_state(
-      "Redis (minikv)", apps::build_minikv(), apps::kMinikvPort, "minikv",
-      {"SET k v\n", "GET k\n", "PING\n"}, {"GET k\n", "PING\n", "DEL k\n"},
-      "dispatch_err", {"cmd_set"}, "SET k v2\n", "BLAH k v\n",
+      report, "Redis (minikv)", apps::build_minikv(), apps::kMinikvPort,
+      "minikv", {"SET k v\n", "GET k\n", "PING\n"},
+      {"GET k\n", "PING\n", "DEL k\n"}, "dispatch_err", "dispatch_command",
+      {"cmd_set"}, "SET k v2\n", "BLAH k v\n",
       "-ERR unknown or disabled command\n"));
 
   std::printf("\n%-22s %10s %10s %10s %10s %10s %7s %7s %6s\n",
@@ -464,6 +442,15 @@ int main(int argc, char** argv) {
         s.stub - s.enabled, static_cast<unsigned long long>(s.trap_signals),
         static_cast<unsigned long long>(s.stub_signals),
         s.callsites_stubbed);
+    const std::string key = "steady_state." + s.key + ".";
+    report.value(key + "baseline_ns", s.enabled);
+    report.value(key + "trap_ns", s.trap);
+    report.value(key + "stub_ns", s.stub);
+    report.value(key + "trap_overhead", s.trap - s.enabled);
+    report.value(key + "stub_overhead", s.stub - s.enabled);
+    report.value(key + "trap_signals", s.trap_signals);
+    report.value(key + "stub_signals", s.stub_signals);
+    report.value(key + "callsites_stubbed", s.callsites_stubbed);
   }
   std::printf(
       "\nShape checks: the stub column sits at the enabled baseline (the\n"
@@ -471,24 +458,5 @@ int main(int argc, char** argv) {
       "column pays a signal round-trip per probe (>=5x the stub overhead),\n"
       "and the stub rows deliver zero SIGTRAPs.\n");
 
-  std::ostringstream json;
-  json << "{\n  \"steady_state\": [\n";
-  for (size_t i = 0; i < steady.size(); ++i) {
-    const auto& s = steady[i];
-    json << "    {\"app\": \"" << s.label << "\", \"baseline_ns\": "
-         << s.enabled << ", \"trap_ns\": " << s.trap
-         << ", \"stub_ns\": " << s.stub
-         << ", \"trap_overhead\": " << s.trap - s.enabled
-         << ", \"stub_overhead\": " << s.stub - s.enabled
-         << ", \"trap_signals\": " << s.trap_signals
-         << ", \"stub_signals\": " << s.stub_signals
-         << ", \"callsites_stubbed\": " << s.callsites_stubbed << "}"
-         << (i + 1 < steady.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"gate_failures\": " << g_failures << "\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  std::printf("\nWrote %s (gate_failures=%d)\n", out_path.c_str(),
-              g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return report.finish();
 }

@@ -8,7 +8,6 @@
 // in the affected bucket is emergent, not scripted.
 #include <cstdio>
 
-#include "analysis/coverage.hpp"
 #include "apps/minikv.hpp"
 #include "bench_common.hpp"
 #include "core/dynacut.hpp"
@@ -60,18 +59,12 @@ Timeline run_timeline(bool with_dynacut) {
     // The wanted trace must cover the GET-hit path without using SET, or
     // tracediff over-eliminates shared lookup code (paper §3.2.3) — here
     // SETRANGE populates the key the wanted GET then finds.
-    bench::ServerPhases undesired = bench::profile_server(
-        kv, apps::kMinikvPort, {"SET k v\n", "GET k\n", "PING\n"});
-    bench::ServerPhases wanted = bench::profile_server(
-        kv, apps::kMinikvPort,
+    set_spec = bench::discover_feature(
+        "SET", kv, apps::kMinikvPort, "minikv",
+        {"SET k v\n", "GET k\n", "PING\n"},
         {"SETRANGE k 0 hello\n", "GET k\n", "GET miss\n", "PING\n",
-         "DEL k\n"});
-    set_spec.name = "SET";
-    set_spec.blocks = analysis::feature_diff({undesired.serving_log},
-                                             {wanted.serving_log}, "minikv")
-                          .blocks();
-    set_spec.redirect_module = "minikv";
-    set_spec.redirect_offset = kv->find_symbol("dispatch_err")->value;
+         "DEL k\n"},
+        "dispatch_err");
   }
 
   // The toggle timeline is consumed from the obs layer, not kept by hand:
@@ -114,6 +107,7 @@ Timeline run_timeline(bool with_dynacut) {
 }  // namespace
 
 int main() {
+  bench::Report report;
   bench::banner(
       "Figure 8: minikv throughput under DynaCut — disable SET at t=18s,\n"
       "re-enable at t=48s (guest GET-loop client; counter sampled per\n"
@@ -180,18 +174,20 @@ int main() {
 
   // The obs-derived toggle timeline must agree with the schedule the bench
   // drove: one disable in the t=18 bucket, one re-enable in the t=48 bucket.
-  if (dyna.toggles.size() != 2 ||
-      static_cast<int>((dyna.toggles[0].vclock - dyna.start) / kTick) !=
-          kDisableAt ||
-      !dyna.toggles[0].disabled ||
-      static_cast<int>((dyna.toggles[1].vclock - dyna.start) / kTick) !=
-          kReenableAt ||
-      dyna.toggles[1].disabled) {
-    std::printf("FAIL: obs toggle timeline does not match the schedule\n");
-    return 1;
+  if (report.gate(
+          "obs_timeline_matches_schedule",
+          dyna.toggles.size() == 2 &&
+              static_cast<int>((dyna.toggles[0].vclock - dyna.start) /
+                               kTick) == kDisableAt &&
+              dyna.toggles[0].disabled &&
+              static_cast<int>((dyna.toggles[1].vclock - dyna.start) /
+                               kTick) == kReenableAt &&
+              !dyna.toggles[1].disabled,
+          "the obs toggle timeline must show one disable at t=18 and one "
+          "re-enable at t=48")) {
+    std::printf("obs timeline: %zu toggles, buckets match the schedule\n",
+                dyna.toggles.size());
   }
-  std::printf("obs timeline: %zu toggles, buckets match the schedule\n",
-              dyna.toggles.size());
 
   // The incremental path must shrink the freeze window (checkpoint +
   // restore) of the warm toggle by at least 5x against the cold one.
@@ -201,12 +197,10 @@ int main() {
   double warm_freeze = (dyna.reenable_rep.timing.checkpoint_ns +
                         dyna.reenable_rep.timing.restore_ns) /
                        1e9;
-  if (warm_freeze * 5 > cold_freeze) {
-    std::printf("FAIL: warm freeze window %.3f s not 5x below cold %.3f s\n",
-                warm_freeze, cold_freeze);
-    return 1;
+  if (report.gate("warm_freeze_5x", warm_freeze * 5 <= cold_freeze,
+                  "the warm freeze window must be >= 5x below the cold one")) {
+    std::printf("freeze window: cold %.3f s -> warm %.3f s (%.1fx)\n",
+                cold_freeze, warm_freeze, cold_freeze / warm_freeze);
   }
-  std::printf("freeze window: cold %.3f s -> warm %.3f s (%.1fx)\n",
-              cold_freeze, warm_freeze, cold_freeze / warm_freeze);
-  return 0;
+  return report.finish();
 }

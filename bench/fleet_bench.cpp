@@ -50,20 +50,12 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <memory>
-#include <span>
-
-#include "analysis/cfg.hpp"
-#include "analysis/coverage.hpp"
 #include "apps/minikv.hpp"
-#include "isa/isa.hpp"
 #include "bench_common.hpp"
 #include "core/dynacut.hpp"
 #include "obs/bus.hpp"
@@ -205,7 +197,8 @@ size_t drive_slice(os::Os& vos, std::vector<FleetConn>& conns,
   return replies;
 }
 
-ToggleResult run_toggle(size_t cores, int toggles) {
+ToggleResult run_toggle(const core::FeatureSpec& set_spec, size_t cores,
+                        int toggles) {
   ToggleResult out;
   os::Os vos;
   vos.set_seed(42);
@@ -238,22 +231,6 @@ ToggleResult run_toggle(size_t cores, int toggles) {
     conns[i].conn = vos.connect(static_cast<uint16_t>(kFleetBasePort + i));
   }
   out.connections = conns.size();
-
-  // Feature discovery once, offline, on a representative instance — all
-  // fleet binaries share the block layout (only the port immediate varies).
-  auto proto = apps::build_minikv(kFleetBasePort, kFleetHeapKb);
-  bench::ServerPhases undesired = bench::profile_server(
-      proto, kFleetBasePort, {"SET k v\n", "GET k\n", "PING\n"});
-  bench::ServerPhases wanted = bench::profile_server(
-      proto, kFleetBasePort,
-      {"SETRANGE k 0 hello\n", "GET k\n", "GET miss\n", "PING\n", "DEL k\n"});
-  core::FeatureSpec set_spec;
-  set_spec.name = "SET";
-  set_spec.blocks = analysis::feature_diff({undesired.serving_log},
-                                           {wanted.serving_log}, "minikv")
-                        .blocks();
-  set_spec.redirect_module = "minikv";
-  set_spec.redirect_offset = proto->find_symbol("dispatch_err")->value;
 
   // Steady state: latency and reply rate with no toggles in flight.
   constexpr int kSteadySlices = 8;
@@ -597,29 +574,10 @@ ProbeResult run_probe(int fleet, core::CutMechanism mech, int slices) {
   // Narrowed spec from the shared binary layout: the cmd_set blocks plus
   // the dispatch_command block whose call targets it (stubbable callsite).
   auto proto = apps::build_minikv(kProbeBasePort, kFleetHeapKb);
-  const melf::Symbol* handler = proto->find_symbol("cmd_set");
   core::FeatureSpec spec;
   spec.name = "SET";
-  analysis::StaticCfg cfg = analysis::recover_cfg(*proto);
-  for (const auto& [boff, blk] : cfg.blocks) {
-    if (boff >= handler->value && boff < handler->value + handler->size) {
-      spec.blocks.push_back(analysis::CovBlock{
-          "minikv", boff, static_cast<uint32_t>(blk.size)});
-    }
-  }
-  const melf::Symbol* disp = proto->find_symbol("dispatch_command");
-  const melf::Section* text = proto->section(melf::SectionKind::kText);
-  for (uint64_t off = disp->value; off < disp->value + disp->size;) {
-    size_t avail = std::min<size_t>(isa::kMaxInstrLength,
-                                    text->offset + text->size - off);
-    auto ins = isa::try_decode(std::span<const uint8_t>(
-        text->bytes.data() + (off - text->offset), avail));
-    if (!ins) break;
-    if (ins->op == isa::Op::kCall && ins->target(off) == handler->value) {
-      spec.blocks.push_back(analysis::CovBlock{"minikv", off, ins->length});
-    }
-    off += ins->length;
-  }
+  spec.blocks =
+      bench::handler_cut(*proto, "minikv", "dispatch_command", {"cmd_set"});
   spec.redirect_module = "minikv";
   spec.redirect_offset = proto->find_symbol("dispatch_err")->value;
 
@@ -702,54 +660,73 @@ ProbeResult run_probe(int fleet, core::CutMechanism mech, int slices) {
   return out;
 }
 
+std::string hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%" PRIx64, v);
+  return buf;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool light = false;
-  std::string out_path = "BENCH_fleet.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--light") == 0) light = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+  const bool light = bench::flag(argc, argv, "--light").has_value();
+  bench::Report rep("fleet", argc, argv);
+  rep.value("light", light);
 
   bench::banner(
       "Fleet bench (fig8 fleet mode): multi-core osim scaling, rolling\n"
       "DynaCut toggle across a 112-process minikv fleet, same-seed\n"
       "determinism, and a spawn storm forked from one customized image.");
 
-  int failures = 0;
-
   // --- Phase 1: scaling ----------------------------------------------------
   const uint64_t scale_window = light ? 600'000 : 2'000'000;
   const int scale_pairs = 12;
-  std::vector<ScalePoint> scaling;
-  for (size_t cores : light ? std::vector<size_t>{1, 4}
-                            : std::vector<size_t>{1, 2, 4, 8}) {
-    scaling.push_back(run_scaling(cores, scale_window, scale_pairs));
-  }
   std::printf("\n%8s %14s %14s %16s\n", "cores", "steps", "vticks",
               "steps/vtick");
   double base_rate = 0.0, four_rate = 0.0;
-  for (const auto& p : scaling) {
+  for (size_t cores : light ? std::vector<size_t>{1, 4}
+                            : std::vector<size_t>{1, 2, 4, 8}) {
+    const ScalePoint p = run_scaling(cores, scale_window, scale_pairs);
     if (p.cores == 1) base_rate = p.steps_per_vtick();
     if (p.cores == 4) four_rate = p.steps_per_vtick();
     std::printf("%8zu %14" PRIu64 " %14" PRIu64 " %16.3f\n", p.cores, p.steps,
                 p.vticks, p.steps_per_vtick());
+    const std::string key = "scaling." + std::to_string(cores) + "c.";
+    rep.value(key + "steps", p.steps);
+    rep.value(key + "vticks", p.vticks);
+    rep.value(key + "steps_per_vtick", p.steps_per_vtick());
   }
   const double scaling_x = base_rate > 0 ? four_rate / base_rate : 0.0;
   std::printf("scaling at 4 cores: %.2fx over 1 core\n", scaling_x);
-  if (scaling_x < 3.0) {
-    std::printf("FAIL: aggregate steps/vtick at 4 cores below the 3x gate\n");
-    ++failures;
-  }
+  rep.value("scaling.4c_over_1c", scaling_x);
+  rep.gate("scaling.3x_at_4_cores", scaling_x >= 3.0,
+           "aggregate steps/vtick at 4 cores must be >= 3x 1 core");
+
+  // Feature discovery once, offline, on a representative instance — all
+  // fleet binaries share the block layout (only the port immediate varies).
+  const core::FeatureSpec set_spec = bench::discover_feature(
+      "SET", apps::build_minikv(kFleetBasePort, kFleetHeapKb), kFleetBasePort,
+      "minikv", {"SET k v\n", "GET k\n", "PING\n"},
+      {"SETRANGE k 0 hello\n", "GET k\n", "GET miss\n", "PING\n", "DEL k\n"},
+      "dispatch_err");
 
   // --- Phase 2: rolling toggle ----------------------------------------------
   const int toggles = light ? 24 : kFleetSize;
-  ToggleResult tg = run_toggle(/*cores=*/4, toggles);
-  if (!tg.ok) {
-    std::printf("FAIL: %s\n", tg.why.c_str());
-    ++failures;
-  } else {
+  ToggleResult tg = run_toggle(set_spec, /*cores=*/4, toggles);
+  rep.value("toggle.fleet", kFleetSize);
+  rep.value("toggle.connections", tg.connections);
+  rep.value("toggle.toggles", tg.toggles);
+  rep.value("toggle.requests_in_window", tg.window.n);
+  rep.value("toggle.steady_p50_ticks", tg.steady.p50);
+  rep.value("toggle.steady_p99_ticks", tg.steady.p99);
+  rep.value("toggle.window_p50_ticks", tg.window.p50);
+  rep.value("toggle.window_p99_ticks", tg.window.p99);
+  rep.value("toggle.window_max_ticks", tg.window.max);
+  rep.value("toggle.steady_replies_per_slice", tg.steady_rate);
+  rep.value("toggle.window_replies_per_slice", tg.window_rate);
+  rep.value("toggle.min_step_reply_ratio", tg.min_step_ratio);
+  rep.value("toggle.max_downtime_ns", tg.max_downtime_ns);
+  if (rep.gate("toggle.fleet_boots", tg.ok, tg.why)) {
     std::printf(
         "\nfleet of %d servers, %d toggles rolled; %zu requests in window\n",
         kFleetSize, tg.toggles, tg.window.n);
@@ -764,51 +741,25 @@ int main(int argc, char** argv) {
                 tg.max_downtime_ns / 1e6);
     // The frozen victims are < 1% of in-window requests, so a healthy p99
     // sits at the poll quantum; 3 slices of slack absorbs boundary effects.
-    if (tg.window.p99 > 3 * kSlice) {
-      std::printf("FAIL: toggle-window p99 %" PRIu64
-                  " exceeds 3 poll slices (%" PRIu64 ") — tail not bounded\n",
-                  tg.window.p99, 3 * kSlice);
-      ++failures;
-    }
-    if (tg.window_rate < 0.5 * tg.steady_rate) {
-      std::printf("FAIL: toggle-window throughput %.1f below 0.5x steady %.1f "
-                  "— global stall\n",
-                  tg.window_rate, tg.steady_rate);
-      ++failures;
-    }
-    if (tg.min_step_ratio < 0.9) {
-      std::printf("FAIL: a toggle step saw only %.2f of the fleet serving\n",
-                  tg.min_step_ratio);
-      ++failures;
-    }
+    rep.gate("toggle.window_p99", tg.window.p99 <= 3 * kSlice,
+             "toggle-window p99 must stay within 3 poll slices (" +
+                 std::to_string(3 * kSlice) + " ticks): tail bounded");
+    rep.gate("toggle.window_rate", tg.window_rate >= 0.5 * tg.steady_rate,
+             "toggle-window throughput must be >= 0.5x steady: no global "
+             "stall");
+    rep.gate("toggle.min_step_ratio", tg.min_step_ratio >= 0.9,
+             "every toggle step must see >= 0.9 of the fleet serving");
     // Sanity: the frozen server really did stall for its rewrite window —
     // otherwise the tail gates above test nothing.
-    if (tg.window.max < kSlice * 2) {
-      std::printf("FAIL: max in-window latency %" PRIu64
-                  " shows no frozen request at all\n",
-                  tg.window.max);
-      ++failures;
-    }
+    rep.gate("toggle.window_frozen", tg.window.max >= kSlice * 2,
+             "max in-window latency must show a frozen request (>= 2 "
+             "slices)");
   }
 
   // --- Phase 3: determinism --------------------------------------------------
-  auto proto = apps::build_minikv(kFleetBasePort, kFleetHeapKb);
-  bench::ServerPhases undesired = bench::profile_server(
-      proto, kFleetBasePort, {"SET k v\n", "GET k\n", "PING\n"});
-  bench::ServerPhases wanted = bench::profile_server(
-      proto, kFleetBasePort,
-      {"SETRANGE k 0 hello\n", "GET k\n", "GET miss\n", "PING\n", "DEL k\n"});
-  core::FeatureSpec det_spec;
-  det_spec.name = "SET";
-  det_spec.blocks = analysis::feature_diff({undesired.serving_log},
-                                           {wanted.serving_log}, "minikv")
-                        .blocks();
-  det_spec.redirect_module = "minikv";
-  det_spec.redirect_offset = proto->find_symbol("dispatch_err")->value;
-
   const uint64_t det_window = light ? 400'000 : 1'500'000;
-  DetRun a = run_deterministic(det_spec, det_window);
-  DetRun b = run_deterministic(det_spec, det_window);
+  DetRun a = run_deterministic(set_spec, det_window);
+  DetRun b = run_deterministic(set_spec, det_window);
   std::printf("\ndeterminism: run A retired %" PRIu64 " (digest %016" PRIx64
               ", %" PRIu64 " events), run B retired %" PRIu64
               " (digest %016" PRIx64 ", %" PRIu64 " events)\n",
@@ -817,19 +768,33 @@ int main(int argc, char** argv) {
   const bool det_ok = a.total_retired == b.total_retired &&
                       a.per_core_retired == b.per_core_retired &&
                       a.digest == b.digest && a.events == b.events;
-  if (!det_ok) {
-    std::printf("FAIL: same-seed runs diverged\n");
-    ++failures;
-  }
+  rep.value("determinism.retired_a", a.total_retired);
+  rep.value("determinism.retired_b", b.total_retired);
+  rep.value("determinism.digest_a", hex(a.digest));
+  rep.value("determinism.digest_b", hex(b.digest));
+  rep.value("determinism.events_a", a.events);
+  rep.value("determinism.events_b", b.events);
+  rep.value("determinism.identical", det_ok);
+  rep.gate("determinism.same_seed", det_ok,
+           "same-seed runs must match in retired counts per core and digest");
 
   // --- Phase 4: spawn storm --------------------------------------------------
   const int storm_workers = light ? 24 : 100;
-  StormResult st = run_storm(det_spec, storm_workers);
-  StormResult st2 = run_storm(det_spec, storm_workers);
-  if (!st.ok) {
-    std::printf("FAIL: %s\n", st.why.c_str());
-    ++failures;
-  } else {
+  StormResult st = run_storm(set_spec, storm_workers);
+  StormResult st2 = run_storm(set_spec, storm_workers);
+  rep.value("storm.workers", st.workers);
+  rep.value("storm.image_logical_bytes", st.image_logical_bytes);
+  rep.value("storm.fleet_logical_bytes", st.fleet_logical_bytes);
+  rep.value("storm.fleet_resident_bytes", st.fleet_resident_bytes);
+  rep.value("storm.dedup_ratio", st.dedup_ratio);
+  rep.value("storm.mean_spawn_ns", st.mean_spawn_ns, bench::Clock::kHost);
+  rep.value("storm.mean_replay_ns", st.mean_replay_ns, bench::Clock::kHost);
+  rep.value("storm.pings_answered", st.pings_answered);
+  rep.value("storm.retired_a", st.total_retired);
+  rep.value("storm.retired_b", st2.total_retired);
+  rep.value("storm.digest_a", hex(st.digest));
+  rep.value("storm.digest_b", hex(st2.digest));
+  if (rep.gate("storm.boots", st.ok, st.why)) {
     std::printf(
         "\nspawn storm: %d workers forked from one customized image\n",
         st.workers);
@@ -848,40 +813,27 @@ int main(int argc, char** argv) {
                 st.mean_spawn_ns, st.mean_replay_ns);
     std::printf("  %zu/%d workers answered PING\n", st.pings_answered,
                 st.workers);
-    if (st.pings_answered != static_cast<size_t>(st.workers)) {
-      std::printf("FAIL: not every spawned worker served a request\n");
-      ++failures;
-    }
+    rep.gate("storm.pings",
+             st.pings_answered == static_cast<size_t>(st.workers),
+             "every spawned worker must serve a request");
     const uint64_t resid_cap =
         st.image_logical_bytes +
         static_cast<uint64_t>(st.workers + 1) * kDeltaCapPages * kPageSize;
-    if (st.fleet_resident_bytes > resid_cap) {
-      std::printf("FAIL: fleet resident %" PRIu64 " exceeds O(1 image + "
-                  "per-pid delta) cap %" PRIu64 "\n",
-                  st.fleet_resident_bytes, resid_cap);
-      ++failures;
-    }
-    if (st.dedup_ratio < 3.0) {
-      std::printf("FAIL: dedup ratio %.2f below the 3x gate\n",
-                  st.dedup_ratio);
-      ++failures;
-    }
-    if (st.mean_spawn_ns >= st.mean_replay_ns) {
-      std::printf("FAIL: spawn_from_image (%.0f ns) not faster than full "
-                  "replay (%.0f ns)\n",
-                  st.mean_spawn_ns, st.mean_replay_ns);
-      ++failures;
-    }
+    rep.gate("storm.resident_cap", st.fleet_resident_bytes <= resid_cap,
+             "fleet resident bytes must stay within O(1 image + per-pid "
+             "delta) = " + std::to_string(resid_cap));
+    rep.gate("storm.dedup_3x", st.dedup_ratio >= 3.0,
+             "dedup ratio must be >= 3x");
+    rep.gate("storm.spawn_beats_replay", st.mean_spawn_ns < st.mean_replay_ns,
+             "spawn_from_image must be faster than a full replay (host)");
     const bool storm_det = st.total_retired == st2.total_retired &&
                            st.digest == st2.digest && st.events == st2.events;
     std::printf("  same-seed storm runs: retired %" PRIu64 "/%" PRIu64
                 ", digest %016" PRIx64 "/%016" PRIx64 " — %s\n",
                 st.total_retired, st2.total_retired, st.digest, st2.digest,
                 storm_det ? "identical" : "DIVERGED");
-    if (!storm_det) {
-      std::printf("FAIL: same-seed storm runs diverged\n");
-      ++failures;
-    }
+    rep.gate("storm.same_seed", storm_det,
+             "same-seed storm runs must match in retired count and digest");
   }
 
   // --- Phase 5: probe storm ---------------------------------------------------
@@ -891,10 +843,17 @@ int main(int argc, char** argv) {
                              probe_slices);
   ProbeResult ps = run_probe(probe_fleet, core::CutMechanism::kStub,
                              probe_slices);
-  if (!pt.ok || !ps.ok) {
-    std::printf("FAIL: %s%s\n", pt.why.c_str(), ps.why.c_str());
-    ++failures;
-  } else {
+  rep.value("probe_storm.fleet", probe_fleet);
+  rep.value("probe_storm.disabled", probe_fleet / 2);
+  for (const auto& [mech, r] : {std::pair{"trap", &pt}, {"stub", &ps}}) {
+    const std::string key = std::string("probe_storm.") + mech + "_";
+    rep.value(key + "denied", r->denied);
+    rep.value(key + "denied_p50_ticks", r->denied_lat.p50);
+    rep.value(key + "denied_p99_ticks", r->denied_lat.p99);
+    rep.value(key + "served", r->served);
+    rep.value(key + "sigtraps", r->sigtraps);
+  }
+  if (rep.gate("probe_storm.fleet_boots", pt.ok && ps.ok, pt.why + ps.why)) {
     std::printf(
         "\nprobe storm: %d servers, SET disabled on %d, one disabled-feature "
         "probe per request\n",
@@ -909,97 +868,19 @@ int main(int argc, char** argv) {
                 ps.sigtraps);
     const size_t floor = static_cast<size_t>(probe_fleet / 2) *
                          (static_cast<size_t>(probe_slices) - 1);
-    if (pt.denied < floor || ps.denied < floor) {
-      std::printf("FAIL: denied-probe count below the serving floor %zu\n",
-                  floor);
-      ++failures;
-    }
-    if (pt.served < floor || ps.served < floor) {
-      std::printf("FAIL: enabled half stopped serving during the probes\n");
-      ++failures;
-    }
-    if (pt.sigtraps < pt.denied) {
-      std::printf("FAIL: trap run delivered %" PRIu64
-                  " SIGTRAPs for %zu denied probes\n",
-                  pt.sigtraps, pt.denied);
-      ++failures;
-    }
-    if (ps.sigtraps != 0) {
-      std::printf("FAIL: stub run still delivered %" PRIu64 " SIGTRAPs\n",
-                  ps.sigtraps);
-      ++failures;
-    }
-    if (ps.denied_lat.p99 > pt.denied_lat.p99) {
-      std::printf("FAIL: stub denied-probe p99 %" PRIu64
-                  " exceeds the trap run's %" PRIu64 "\n",
-                  ps.denied_lat.p99, pt.denied_lat.p99);
-      ++failures;
-    }
+    rep.gate("probe_storm.denied_floor",
+             pt.denied >= floor && ps.denied >= floor,
+             "denied probes must reach the serving floor " +
+                 std::to_string(floor) + " under both mechanisms");
+    rep.gate("probe_storm.served_floor",
+             pt.served >= floor && ps.served >= floor,
+             "the enabled half must keep serving during the probes");
+    rep.gate("probe_storm.trap_sigtraps", pt.sigtraps >= pt.denied,
+             "the trap run must deliver a SIGTRAP per denied probe");
+    rep.gate("probe_storm.stub_no_sigtraps", ps.sigtraps == 0,
+             "the stub run must deliver no SIGTRAP");
+    rep.gate("probe_storm.stub_p99", ps.denied_lat.p99 <= pt.denied_lat.p99,
+             "the stub denied-probe p99 must not exceed the trap run's");
   }
-
-  // --- JSON -------------------------------------------------------------------
-  std::ostringstream json;
-  json << "{\n  \"light\": " << (light ? "true" : "false")
-       << ",\n  \"scaling\": [\n";
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    const auto& p = scaling[i];
-    json << "    {\"cores\": " << p.cores << ", \"steps\": " << p.steps
-         << ", \"vticks\": " << p.vticks
-         << ", \"steps_per_vtick\": " << p.steps_per_vtick() << "}"
-         << (i + 1 < scaling.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"scaling_4c_over_1c\": " << scaling_x
-       << ",\n  \"toggle\": {\n    \"fleet\": " << kFleetSize
-       << ",\n    \"connections\": " << tg.connections
-       << ",\n    \"toggles\": " << tg.toggles
-       << ",\n    \"requests_in_window\": " << tg.window.n
-       << ",\n    \"steady_p50_ticks\": " << tg.steady.p50
-       << ",\n    \"steady_p99_ticks\": " << tg.steady.p99
-       << ",\n    \"window_p50_ticks\": " << tg.window.p50
-       << ",\n    \"window_p99_ticks\": " << tg.window.p99
-       << ",\n    \"window_max_ticks\": " << tg.window.max
-       << ",\n    \"steady_replies_per_slice\": " << tg.steady_rate
-       << ",\n    \"window_replies_per_slice\": " << tg.window_rate
-       << ",\n    \"min_step_reply_ratio\": " << tg.min_step_ratio
-       << ",\n    \"max_downtime_ns\": " << tg.max_downtime_ns
-       << "\n  },\n  \"determinism\": {\n    \"retired_a\": "
-       << a.total_retired << ",\n    \"retired_b\": " << b.total_retired
-       << ",\n    \"digest_a\": \"" << std::hex << a.digest
-       << "\",\n    \"digest_b\": \"" << b.digest << "\"" << std::dec
-       << ",\n    \"events_a\": " << a.events
-       << ",\n    \"events_b\": " << b.events
-       << ",\n    \"identical\": " << (det_ok ? "true" : "false")
-       << "\n  },\n  \"storm\": {\n    \"workers\": " << st.workers
-       << ",\n    \"image_logical_bytes\": " << st.image_logical_bytes
-       << ",\n    \"fleet_logical_bytes\": " << st.fleet_logical_bytes
-       << ",\n    \"fleet_resident_bytes\": " << st.fleet_resident_bytes
-       << ",\n    \"dedup_ratio\": " << st.dedup_ratio
-       << ",\n    \"mean_spawn_ns\": " << st.mean_spawn_ns
-       << ",\n    \"mean_replay_ns\": " << st.mean_replay_ns
-       << ",\n    \"pings_answered\": " << st.pings_answered
-       << ",\n    \"retired_a\": " << st.total_retired
-       << ",\n    \"retired_b\": " << st2.total_retired
-       << ",\n    \"digest_a\": \"" << std::hex << st.digest
-       << "\",\n    \"digest_b\": \"" << st2.digest << "\"" << std::dec
-       << "\n  },\n  \"probe_storm\": {\n    \"fleet\": " << probe_fleet
-       << ",\n    \"disabled\": " << probe_fleet / 2
-       << ",\n    \"trap_denied\": " << pt.denied
-       << ",\n    \"trap_denied_p50_ticks\": " << pt.denied_lat.p50
-       << ",\n    \"trap_denied_p99_ticks\": " << pt.denied_lat.p99
-       << ",\n    \"trap_sigtraps\": " << pt.sigtraps
-       << ",\n    \"stub_denied\": " << ps.denied
-       << ",\n    \"stub_denied_p50_ticks\": " << ps.denied_lat.p50
-       << ",\n    \"stub_denied_p99_ticks\": " << ps.denied_lat.p99
-       << ",\n    \"stub_sigtraps\": " << ps.sigtraps
-       << "\n  },\n  \"gate_failures\": " << failures << "\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (failures > 0) {
-    std::printf("%d gate(s) FAILED\n", failures);
-    return 1;
-  }
-  std::printf("all fleet gates passed\n");
-  return 0;
+  return rep.finish();
 }

@@ -1,15 +1,23 @@
-// Microbenchmarks (google-benchmark) of DynaCut's primitive operations on
-// realistically sized processes: checkpoint, restore, int3 patching, block
-// wiping, library injection, trace diffing, image serialization, and static
-// CFG recovery. These measure *host* wall-clock cost of the framework
-// itself (the simulator substrate), complementing the virtual-time figures.
-#include <benchmark/benchmark.h>
-
+// Microbenchmarks of DynaCut's primitive operations on realistically sized
+// processes: checkpoint, restore, int3 patching, block wiping, library
+// injection, trace diffing, image serialization, static CFG recovery and
+// one guest request. These measure the *host* wall-clock cost of the
+// framework itself (the simulator substrate), complementing the
+// virtual-time figures: each case is the median of kReps timed loops.
+//
+//   micro_ops                   the primitive-operation table (host ns/op)
+//   micro_ops --vm_steps[=N]    VM tier throughput, >=3x gate: BENCH_vm.json
+//   micro_ops --ckpt_pages[=N]  incremental checkpoint, >=5x gate:
+//                               BENCH_ckpt.json
+// --out=PATH overrides either summary's destination.
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "analysis/cfg.hpp"
 #include "analysis/coverage.hpp"
@@ -29,136 +37,108 @@ namespace {
 
 using namespace dynacut;
 
-/// A booted minikv instance reused across iterations.
-struct KvFixture {
+/// Keeps each timed call's result observable, so no call is optimized out.
+volatile uint64_t g_sink = 0;
+
+constexpr int kReps = 5;
+
+/// Host ns per call of `timed`: the median over kReps loops of `iters`
+/// calls. `untimed`, if given, runs before each call with the clock paused.
+template <typename Timed, typename Untimed = std::nullptr_t>
+double median_ns(int iters, Timed timed, Untimed untimed = nullptr) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> runs;
+  for (int r = 0; r < kReps; ++r) {
+    Clock::duration spent{};
+    Clock::time_point t0 = Clock::now();
+    for (int i = 0; i < iters; ++i) {
+      if constexpr (!std::is_null_pointer_v<Untimed>) {
+        spent += Clock::now() - t0;
+        untimed();
+        t0 = Clock::now();
+      }
+      g_sink = g_sink + timed();
+    }
+    spent += Clock::now() - t0;
+    runs.push_back(std::chrono::duration<double, std::nano>(spent).count() /
+                   iters);
+  }
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
+int run_primitives() {
+  // One booted minikv instance, reused by every case.
   os::Os vos;
-  int pid;
+  const int pid = vos.spawn(apps::build_minikv(), {apps::build_libc()});
+  bench::run_until(vos, [&] { return vos.has_listener(apps::kMinikvPort); });
+  auto checkpoint = [&] {
+    image::ProcessImage img = image::checkpoint(vos, {.pid = pid}).img;
+    vos.thaw(pid);
+    return img;
+  };
 
-  KvFixture() {
-    pid = vos.spawn(apps::build_minikv(), {apps::build_libc()});
-    bench::run_until(vos,
-                     [&] { return vos.has_listener(apps::kMinikvPort); });
-  }
-};
-
-KvFixture& fixture() {
-  static KvFixture fx;
-  return fx;
-}
-
-void BM_Checkpoint(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  for (auto _ : state) {
-    image::ProcessImage img =
-        image::checkpoint(fx.vos, {.pid = fx.pid}).img;
-
-    benchmark::DoNotOptimize(img.mem.page_count());
-    fx.vos.thaw(fx.pid);
-  }
-  state.SetLabel("minikv, ~4MB image");
-}
-BENCHMARK(BM_Checkpoint);
-
-void BM_CheckpointRestore(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  for (auto _ : state) {
-    image::ProcessImage img =
-        image::checkpoint(fx.vos, {.pid = fx.pid}).img;
-
-    image::restore(fx.vos, {.pid = fx.pid, .img = &img});
-  }
-}
-BENCHMARK(BM_CheckpointRestore);
-
-void BM_Int3PatchBlock(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  image::ProcessImage img = image::checkpoint(fx.vos, {.pid = fx.pid}).img;
-  fx.vos.thaw(fx.pid);
+  image::ProcessImage img = checkpoint();
   rw::ImageRewriter rewriter(img);
-  uint64_t addr = rewriter.symbol_addr("minikv", "cmd_set");
-  for (auto _ : state) {
-    rw::PatchRecord rec = rewriter.block_first_byte(addr);
-    rewriter.undo(rec);
-  }
-}
-BENCHMARK(BM_Int3PatchBlock);
-
-void BM_WipeBlock64(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  image::ProcessImage img = image::checkpoint(fx.vos, {.pid = fx.pid}).img;
-  fx.vos.thaw(fx.pid);
-  rw::ImageRewriter rewriter(img);
-  uint64_t addr = rewriter.symbol_addr("minikv", "cmd_set");
-  for (auto _ : state) {
-    rw::PatchRecord rec = rewriter.wipe(addr, 64);
-    rewriter.undo(rec);
-  }
-}
-BENCHMARK(BM_WipeBlock64);
-
-void BM_InjectHandlerLibrary(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  auto lib = core::build_redirect_lib(256);
-  for (auto _ : state) {
-    state.PauseTiming();
-    image::ProcessImage img = image::checkpoint(fx.vos, {.pid = fx.pid}).img;
-    fx.vos.thaw(fx.pid);
-    rw::ImageRewriter rewriter(img);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(rewriter.inject_library(lib));
-  }
-}
-BENCHMARK(BM_InjectHandlerLibrary);
-
-void BM_ImageEncodeDecode(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  image::ProcessImage img = image::checkpoint(fx.vos, {.pid = fx.pid}).img;
-  fx.vos.thaw(fx.pid);
-  for (auto _ : state) {
-    auto bytes = img.encode();
-    image::ProcessImage back = image::ProcessImage::decode(bytes);
-    benchmark::DoNotOptimize(back.mem.page_count());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(img.encode().size()));
-}
-BENCHMARK(BM_ImageEncodeDecode);
-
-void BM_TraceDiff(benchmark::State& state) {
+  const uint64_t set_addr = rewriter.symbol_addr("minikv", "cmd_set");
+  const auto lib = core::build_redirect_lib(256);
+  std::optional<image::ProcessImage> inject_img;
+  std::optional<rw::ImageRewriter> inject_rw;
   auto kv = apps::build_minikv();
-  bench::ServerPhases undesired = bench::profile_server(
-      kv, apps::kMinikvPort, {"SET k v\n", "GET k\n", "PING\n"});
-  bench::ServerPhases wanted = bench::profile_server(
-      kv, apps::kMinikvPort,
-      {"SETRANGE k 0 h\n", "GET k\n", "PING\n", "DEL k\n"});
-  for (auto _ : state) {
-    analysis::CoverageGraph diff = analysis::feature_diff(
-        {undesired.serving_log}, {wanted.serving_log}, "minikv");
-    benchmark::DoNotOptimize(diff.size());
-  }
-}
-BENCHMARK(BM_TraceDiff);
+  const trace::TraceLog undesired =
+      bench::profile_server(kv, apps::kMinikvPort,
+                            {"SET k v\n", "GET k\n", "PING\n"})
+          .serving_log;
+  const trace::TraceLog wanted =
+      bench::profile_server(
+          kv, apps::kMinikvPort,
+          {"SETRANGE k 0 h\n", "GET k\n", "PING\n", "DEL k\n"})
+          .serving_log;
 
-void BM_StaticCfgRecovery(benchmark::State& state) {
-  auto kv = apps::build_minikv();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::total_block_count(*kv));
-  }
-  state.SetLabel("minikv .text");
+  std::vector<std::pair<const char*, double>> rows = {
+      {"checkpoint (~4MB image)",
+       median_ns(20, [&] { return checkpoint().mem.page_count(); })},
+      {"checkpoint+restore", median_ns(20, [&] {
+         image::ProcessImage snap =
+             image::checkpoint(vos, {.pid = pid}).img;
+         image::restore(vos, {.pid = pid, .img = &snap});
+         return snap.mem.page_count();
+       })},
+      {"int3 patch+undo", median_ns(1000, [&] {
+         rw::PatchRecord rec = rewriter.block_first_byte(set_addr);
+         rewriter.undo(rec);
+         return rec.vaddr;
+       })},
+      {"wipe 64B+undo", median_ns(1000, [&] {
+         rw::PatchRecord rec = rewriter.wipe(set_addr, 64);
+         rewriter.undo(rec);
+         return rec.vaddr;
+       })},
+      {"inject handler library",
+       median_ns(
+           20, [&] { return inject_rw->inject_library(lib); },
+           [&] {
+             inject_rw.reset();
+             inject_img = checkpoint();
+             inject_rw.emplace(*inject_img);
+           })},
+      {"image encode+decode", median_ns(10, [&] {
+         return image::ProcessImage::decode(img.encode()).mem.page_count();
+       })},
+      {"trace diff", median_ns(100, [&] {
+         return analysis::feature_diff({undesired}, {wanted}, "minikv").size();
+       })},
+      {"static CFG recovery",
+       median_ns(20, [&] { return analysis::total_block_count(*kv); })},
+  };
+  auto conn = vos.connect(apps::kMinikvPort);
+  rows.emplace_back("guest PING round-trip", median_ns(200, [&] {
+                      return bench::request(vos, conn, "PING\n").size();
+                    }));
+  std::printf("%-26s %14s\n", "operation (minikv)", "host ns/op");
+  for (const auto& [name, ns] : rows) std::printf("%-26s %14.0f\n", name, ns);
+  return 0;
 }
-BENCHMARK(BM_StaticCfgRecovery);
-
-void BM_GuestExecution(benchmark::State& state) {
-  KvFixture& fx = fixture();
-  auto conn = fx.vos.connect(apps::kMinikvPort);
-  for (auto _ : state) {
-    conn.send("PING\n");
-    bench::run_until(fx.vos, [&] { return conn.pending() > 0; });
-    benchmark::DoNotOptimize(conn.recv_all());
-  }
-  state.SetLabel("one PING round-trip");
-}
-BENCHMARK(BM_GuestExecution);
 
 // ---------------------------------------------------------------------------
 // --vm_steps mode: raw guest execution throughput (steps/sec) across the
@@ -176,21 +156,6 @@ constexpr double kSbGateSpeedup = 3.0;
 // max over repetitions is the least-noisy throughput estimate, and the
 // gate ratio compares engines at their respective bests.
 constexpr int kVmStepsReps = 3;
-
-struct VmStepsReport {
-  uint64_t steps = 0;
-  double off_steps_per_sec = 0;
-  double on_steps_per_sec = 0;
-  double sb_steps_per_sec = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_invalidations = 0;
-  uint64_t cached_pages = 0;
-  uint64_t sb_builds = 0;
-  uint64_t sb_retires = 0;
-  uint64_t sb_entries = 0;
-  uint64_t sb_instrs = 0;
-};
 
 constexpr uint64_t kVmCodeBase = 0x1000;
 
@@ -240,12 +205,11 @@ double measure_steps_per_sec(uint64_t steps, vm::DecodeCache* cache,
   return static_cast<double>(retired) / dt.count();
 }
 
-int run_vm_steps(uint64_t steps, const std::string& out_path) {
-  VmStepsReport rep;
-  rep.steps = steps;
+int run_vm_steps(uint64_t steps, bench::Report& report) {
+  const bench::Clock host = bench::Clock::kHost;
+  double off = 0, on = 0, sb = 0;
   for (int i = 0; i < kVmStepsReps; ++i) {
-    const double s = measure_steps_per_sec(steps, nullptr);
-    if (s > rep.off_steps_per_sec) rep.off_steps_per_sec = s;
+    off = std::max(off, measure_steps_per_sec(steps, nullptr));
   }
   for (int i = 0; i < kVmStepsReps; ++i) {
     vm::DecodeCache cache;
@@ -253,12 +217,12 @@ int run_vm_steps(uint64_t steps, const std::string& out_path) {
     // Cache behavior is deterministic per run (fresh cache, identical
     // guest), so the stats are identical across repetitions; keep the
     // best rep's for the report.
-    if (s > rep.on_steps_per_sec) {
-      rep.on_steps_per_sec = s;
-      rep.cache_hits = cache.hits();
-      rep.cache_misses = cache.misses();
-      rep.cache_invalidations = cache.invalidations();
-      rep.cached_pages = cache.cached_pages();
+    if (s > on) {
+      on = s;
+      report.value("cache_hits", cache.hits());
+      report.value("cache_misses", cache.misses());
+      report.value("cache_invalidations", cache.invalidations());
+      report.value("cached_pages", cache.cached_pages());
     }
   }
   // Superblock row: decode cache underneath (it serves the cold instructions
@@ -268,72 +232,32 @@ int run_vm_steps(uint64_t steps, const std::string& out_path) {
     vm::DecodeCache sb_dcache;
     vm::SuperblockCache sbcache;
     const double s = measure_steps_per_sec(steps, &sb_dcache, &sbcache);
-    if (s > rep.sb_steps_per_sec) {
-      rep.sb_steps_per_sec = s;
-      rep.sb_builds = sbcache.builds();
-      rep.sb_retires = sbcache.retires();
-      rep.sb_entries = sbcache.entries();
-      rep.sb_instrs = sbcache.sb_instrs();
+    if (s > sb) {
+      sb = s;
+      report.value("sb_builds", sbcache.builds());
+      report.value("sb_retires", sbcache.retires());
+      report.value("sb_entries", sbcache.entries());
+      report.value("sb_instrs", sbcache.sb_instrs());
     }
   }
-  const double speedup = rep.on_steps_per_sec / rep.off_steps_per_sec;
-  const double sb_speedup = rep.sb_steps_per_sec / rep.off_steps_per_sec;
-  const double sb_vs_cache = rep.sb_steps_per_sec / rep.on_steps_per_sec;
-  const bool pass = sb_vs_cache >= kSbGateSpeedup;
-
   std::printf("vm_steps: %llu instructions/run\n",
-              static_cast<unsigned long long>(rep.steps));
-  std::printf("  interpreter: %.3e steps/sec\n", rep.off_steps_per_sec);
-  std::printf("  decode cache: %.3e steps/sec (%.2fx)\n",
-              rep.on_steps_per_sec, speedup);
-  std::printf("  superblock:  %.3e steps/sec (%.2fx, %.2fx vs cache)\n",
-              rep.sb_steps_per_sec, sb_speedup, sb_vs_cache);
-  std::printf("  cache: %llu hits, %llu misses, %llu invalidations, "
-              "%llu pages\n",
-              static_cast<unsigned long long>(rep.cache_hits),
-              static_cast<unsigned long long>(rep.cache_misses),
-              static_cast<unsigned long long>(rep.cache_invalidations),
-              static_cast<unsigned long long>(rep.cached_pages));
-  std::printf("  superblocks: %llu built, %llu retired, %llu entries, "
-              "%llu instrs in-trace\n",
-              static_cast<unsigned long long>(rep.sb_builds),
-              static_cast<unsigned long long>(rep.sb_retires),
-              static_cast<unsigned long long>(rep.sb_entries),
-              static_cast<unsigned long long>(rep.sb_instrs));
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << "{\n"
-      << "  \"bench\": \"vm_steps\",\n"
-      << "  \"steps\": " << rep.steps << ",\n"
-      << "  \"cache_off_steps_per_sec\": " << rep.off_steps_per_sec << ",\n"
-      << "  \"cache_on_steps_per_sec\": " << rep.on_steps_per_sec << ",\n"
-      << "  \"sb_steps_per_sec\": " << rep.sb_steps_per_sec << ",\n"
-      << "  \"speedup\": " << speedup << ",\n"
-      << "  \"sb_speedup\": " << sb_speedup << ",\n"
-      << "  \"sb_speedup_vs_cache\": " << sb_vs_cache << ",\n"
-      << "  \"cache_hits\": " << rep.cache_hits << ",\n"
-      << "  \"cache_misses\": " << rep.cache_misses << ",\n"
-      << "  \"cache_invalidations\": " << rep.cache_invalidations << ",\n"
-      << "  \"cached_pages\": " << rep.cached_pages << ",\n"
-      << "  \"sb_builds\": " << rep.sb_builds << ",\n"
-      << "  \"sb_retires\": " << rep.sb_retires << ",\n"
-      << "  \"sb_entries\": " << rep.sb_entries << ",\n"
-      << "  \"sb_instrs\": " << rep.sb_instrs << ",\n"
-      << "  \"gate_min_sb_speedup\": " << kSbGateSpeedup << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-      << "}\n";
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: superblock engine did not clear the %.0fx gate over "
-                 "the decode cache (got %.2fx)\n",
-                 kSbGateSpeedup, sb_vs_cache);
-    return 1;
-  }
-  return 0;
+              static_cast<unsigned long long>(steps));
+  std::printf("  interpreter: %.3e steps/sec\n", off);
+  std::printf("  decode cache: %.3e steps/sec (%.2fx)\n", on, on / off);
+  std::printf("  superblock:  %.3e steps/sec (%.2fx, %.2fx vs cache)\n", sb,
+              sb / off, sb / on);
+  report.value("steps", steps);
+  report.value("cache_off_steps_per_sec", off, host);
+  report.value("cache_on_steps_per_sec", on, host);
+  report.value("sb_steps_per_sec", sb, host);
+  report.value("speedup", on / off, host);
+  report.value("sb_speedup", sb / off, host);
+  report.value("sb_speedup_vs_cache", sb / on, host);
+  report.value("gate_min_sb_speedup", kSbGateSpeedup);
+  report.gate("sb_3x_over_decode_cache", sb / on >= kSbGateSpeedup,
+              "the superblock engine must run >= 3x the decode cache's "
+              "steps/sec (host, best of 3)");
+  return report.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +274,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-int run_ckpt_bench(uint64_t extra_pages, const std::string& out_path) {
+int run_ckpt_bench(uint64_t extra_pages, bench::Report& report) {
   constexpr int kCycles = 5;
   constexpr uint64_t kDirtyPages = 16;  // per-cycle guest working set
 
@@ -427,8 +351,6 @@ int run_ckpt_bench(uint64_t extra_pages, const std::string& out_path) {
   // bounded by map-node vs page-copy cost, not by the dirty ratio.
   double host_speedup = full_host_s / delta_host_s;
   double virtual_speedup = full_freeze_s / delta_freeze_s;
-  bool pass = delta_ckpt.incremental && delta_ckpt.pages_dumped > 0 &&
-              virtual_speedup >= kCkptGateSpeedup && host_speedup > 1.0;
 
   std::printf("ckpt_pages: minikv + %llu-page heap, %d cycles, %llu dirty "
               "pages/cycle\n",
@@ -447,73 +369,41 @@ int run_ckpt_bench(uint64_t extra_pages, const std::string& out_path) {
               ">=%.0fx, host >1x)\n",
               host_speedup, virtual_speedup, kCkptGateSpeedup);
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << "{\n"
-      << "  \"bench\": \"ckpt_delta\",\n"
-      << "  \"pages_total\": " << full_ckpt.pages_total << ",\n"
-      << "  \"dirty_pages_per_cycle\": " << kDirtyPages << ",\n"
-      << "  \"full_host_s_per_cycle\": " << full_host_s << ",\n"
-      << "  \"full_freeze_s\": " << full_freeze_s << ",\n"
-      << "  \"full_pages_dumped\": " << full_ckpt.pages_dumped << ",\n"
-      << "  \"delta_host_s_per_cycle\": " << delta_host_s << ",\n"
-      << "  \"delta_freeze_s\": " << delta_freeze_s << ",\n"
-      << "  \"delta_pages_dumped\": " << delta_ckpt.pages_dumped << ",\n"
-      << "  \"delta_pages_shared\": " << delta_ckpt.pages_shared << ",\n"
-      << "  \"delta_pages_restored\": " << delta_rst.pages_restored << ",\n"
-      << "  \"host_speedup\": " << host_speedup << ",\n"
-      << "  \"virtual_speedup\": " << virtual_speedup << ",\n"
-      << "  \"gate_min_speedup\": " << kCkptGateSpeedup << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << "\n"
-      << "}\n";
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: incremental checkpoint/restore did not clear the "
-                 "%.0fx freeze-window gate\n",
-                 kCkptGateSpeedup);
-    return 1;
-  }
-  return 0;
+  const bench::Clock host = bench::Clock::kHost;
+  report.value("pages_total", full_ckpt.pages_total);
+  report.value("dirty_pages_per_cycle", kDirtyPages);
+  report.value("full_host_s_per_cycle", full_host_s, host);
+  report.value("full_freeze_s", full_freeze_s);
+  report.value("full_pages_dumped", full_ckpt.pages_dumped);
+  report.value("delta_host_s_per_cycle", delta_host_s, host);
+  report.value("delta_freeze_s", delta_freeze_s);
+  report.value("delta_pages_dumped", delta_ckpt.pages_dumped);
+  report.value("delta_pages_shared", delta_ckpt.pages_shared);
+  report.value("delta_pages_restored", delta_rst.pages_restored);
+  report.value("host_speedup", host_speedup, host);
+  report.value("virtual_speedup", virtual_speedup);
+  report.value("gate_min_speedup", kCkptGateSpeedup);
+  report.gate("delta_is_incremental",
+              delta_ckpt.incremental && delta_ckpt.pages_dumped > 0,
+              "the delta cycle must take an incremental, non-empty dump");
+  report.gate("freeze_window_5x", virtual_speedup >= kCkptGateSpeedup,
+              "the incremental freeze window must be >= 5x shorter");
+  report.gate("host_not_slower", host_speedup > 1.0,
+              "the incremental cycle must not cost more host time");
+  return report.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t vm_steps = 0;
-  std::string vm_out = "BENCH_vm.json";
-  bool vm_mode = false;
-  uint64_t ckpt_pages = 0;
-  std::string ckpt_out = "BENCH_ckpt.json";
-  bool ckpt_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--vm_steps") == 0) {
-      vm_mode = true;
-      vm_steps = 4'000'000;
-    } else if (std::strncmp(a, "--vm_steps=", 11) == 0) {
-      vm_mode = true;
-      vm_steps = std::stoull(a + 11);
-    } else if (std::strncmp(a, "--vm_out=", 9) == 0) {
-      vm_out = a + 9;
-    } else if (std::strcmp(a, "--ckpt_pages") == 0) {
-      ckpt_mode = true;
-      ckpt_pages = 4096;
-    } else if (std::strncmp(a, "--ckpt_pages=", 13) == 0) {
-      ckpt_mode = true;
-      ckpt_pages = std::stoull(a + 13);
-    } else if (std::strncmp(a, "--ckpt_out=", 11) == 0) {
-      ckpt_out = a + 11;
-    }
+  if (auto steps = bench::flag(argc, argv, "--vm_steps")) {
+    bench::Report report("vm", argc, argv);
+    return run_vm_steps(steps->empty() ? 4'000'000 : std::stoull(*steps),
+                        report);
   }
-  if (vm_mode) return run_vm_steps(vm_steps, vm_out);
-  if (ckpt_mode) return run_ckpt_bench(ckpt_pages, ckpt_out);
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  if (auto pages = bench::flag(argc, argv, "--ckpt_pages")) {
+    bench::Report report("ckpt", argc, argv);
+    return run_ckpt_bench(pages->empty() ? 4096 : std::stoull(*pages), report);
+  }
+  return run_primitives();
 }

@@ -9,11 +9,12 @@
 //     sinks and charges no success counters,
 //   * the registry snapshot is valid JSON.
 //
-// Writes the combined trace + metrics to BENCH_obs.json (or --out=PATH).
+// Writes a summary to BENCH_obs.json (or --out=PATH): event counts by type,
+// the delivered and retracted counts, the metrics snapshot and the toggle
+// timeline. The raw JSONL trace goes next to it, to BENCH_obs.jsonl.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,15 +73,6 @@ FeatureSpec feat_spec() {
   return s;
 }
 
-int failures = 0;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    std::printf("!! FAIL: %s\n", what.c_str());
-    ++failures;
-  }
-}
-
 size_t count_prefix(const obs::RingBufferSink& ring, const char* prefix) {
   size_t n = 0;
   for (const auto& e : ring.events()) {
@@ -92,10 +84,9 @@ size_t count_prefix(const obs::RingBufferSink& ring, const char* prefix) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_obs.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+  bench::Report report("obs", argc, argv);
+  const std::string trace_path =
+      report.path() + (report.path().ends_with(".json") ? "l" : ".jsonl");
 
   bench::banner(
       "obs smoke: event-trace contract over disable / trap / restore /\n"
@@ -107,8 +98,7 @@ int main(int argc, char** argv) {
 
   obs::EventBus bus;
   obs::RingBufferSink ring;
-  std::ostringstream jsonl;
-  obs::JsonlSink jsonl_sink(jsonl);
+  obs::JsonlSink jsonl_sink(trace_path);
   obs::TimelineRecorder recorder(bus);
   bus.add_sink(&ring);
   bus.add_sink(&jsonl_sink);
@@ -124,31 +114,35 @@ int main(int argc, char** argv) {
                                  .removal = RemovalPolicy::kBlockFirstByte,
                                  .trap = TrapPolicy::kRedirect,
                                  .tags = {{"scenario", "smoke"}}});
-  check(rep.obs.txn != 0, "committed disable carries a bus txn id");
-  check(rep.obs.events > 0, "committed disable delivered staged events");
-  check(ring.count(obs::ev::kTxnCommit) == 1, "one txn.commit after disable");
-  check(count_prefix(ring, "rewrite.") > 0, "rewrite events committed");
-  check(count_prefix(ring, "checkpoint.") > 0, "checkpoint events committed");
+  report.gate("committed disable carries a bus txn id", rep.obs.txn != 0);
+  report.gate("committed disable delivered staged events", rep.obs.events > 0);
+  report.gate("one txn.commit after disable",
+              ring.count(obs::ev::kTxnCommit) == 1);
+  report.gate("rewrite events committed", count_prefix(ring, "rewrite.") > 0);
+  report.gate("checkpoint events committed",
+              count_prefix(ring, "checkpoint.") > 0);
 
   vos.run(60'000);  // workers keep calling feat() -> redirected trap hits
   size_t trap_events = ring.count(obs::ev::kTrapHit);
-  check(trap_events > 0, "trap.hit events observed after disable");
-  check(reg.counter("trap.hits") == trap_events,
-        "trap.hits counter matches trap.hit events");
+  report.gate("trap.hit events observed after disable", trap_events > 0);
+  report.gate("trap.hits counter matches trap.hit events",
+              reg.counter("trap.hits") == trap_events);
   bool annotated = true;
   for (const obs::Event* e : ring.of_type(obs::ev::kTrapHit)) {
     annotated = annotated && e->attr_str("feature") == "feat" &&
                 !e->attr_str("policy").empty();
   }
-  check(annotated, "every trap.hit annotated with feature + policy");
+  report.gate("every trap.hit annotated with feature + policy", annotated);
 
   // --- 2. a committed restore --------------------------------------------
   dc.restore_feature("feat");
-  check(ring.count(obs::ev::kTxnCommit) == 2, "one txn.commit after restore");
-  check(recorder.toggles().size() == 2 && !recorder.toggles()[1].disabled,
-        "timeline recorder saw disable + restore toggles");
-  check(recorder.disabled_features().empty(),
-        "recorder disabled-set empty after restore");
+  report.gate("one txn.commit after restore",
+              ring.count(obs::ev::kTxnCommit) == 2);
+  report.gate("timeline recorder saw disable + restore toggles",
+              recorder.toggles().size() == 2 &&
+                  !recorder.toggles()[1].disabled);
+  report.gate("recorder disabled-set empty after restore",
+              recorder.disabled_features().empty());
 
   // --- 3. a fault-injected abort: staged events must be retracted --------
   size_t rewrites_before = count_prefix(ring, "rewrite.");
@@ -165,70 +159,59 @@ int main(int argc, char** argv) {
     aborted = true;
   }
   dc.set_fault_plan(nullptr);
-  check(aborted, "injected restore fault aborted the customization");
-  check(ring.count(obs::ev::kTxnAbort) == 1, "abort emitted txn.abort");
-  check(ring.count(obs::ev::kTxnRollback) == 1, "abort emitted txn.rollback");
-  check(count_prefix(ring, "rewrite.") == rewrites_before,
-        "no rewrite event of the aborted txn reached a sink");
-  check(count_prefix(ring, "checkpoint.") == checkpoints_before,
-        "no checkpoint event of the aborted txn reached a sink");
-  check(bus.events_retracted() > 0, "staged events were retracted");
-  check(reg.counter("txn.commits") == commits_before,
-        "aborted txn charged no commit counter");
-  check(reg.counter("txn.aborts") == 1, "aborted txn charged txn.aborts");
-  check(recorder.toggles().size() == 2,
-        "aborted txn added no timeline toggle");
+  report.gate("injected restore fault aborted the customization", aborted);
+  report.gate("abort emitted txn.abort", ring.count(obs::ev::kTxnAbort) == 1);
+  report.gate("abort emitted txn.rollback",
+              ring.count(obs::ev::kTxnRollback) == 1);
+  report.gate("no rewrite event of the aborted txn reached a sink",
+              count_prefix(ring, "rewrite.") == rewrites_before);
+  report.gate("no checkpoint event of the aborted txn reached a sink",
+              count_prefix(ring, "checkpoint.") == checkpoints_before);
+  report.gate("staged events were retracted", bus.events_retracted() > 0);
+  report.gate("aborted txn charged no commit counter",
+              reg.counter("txn.commits") == commits_before);
+  report.gate("aborted txn charged txn.aborts", reg.counter("txn.aborts") == 1);
+  report.gate("aborted txn added no timeline toggle",
+              recorder.toggles().size() == 2);
 
   // --- 4. every JSONL line and the registry snapshot are valid JSON -----
+  jsonl_sink.flush();
   size_t lines = 0;
-  std::string line;
-  std::istringstream in(jsonl.str());
+  std::string line, bad;
+  std::ifstream in(trace_path);
   while (std::getline(in, line)) {
     ++lines;
     std::string why;
-    if (!obs::json_valid(line, &why)) {
-      check(false, "invalid JSONL line " + std::to_string(lines) + " (" +
-                       why + "): " + line);
+    if (bad.empty() && !obs::json_valid(line, &why)) {
+      bad = "line " + std::to_string(lines) + " (" + why + "): " + line;
     }
   }
-  check(lines == jsonl_sink.lines(), "sink line count matches stream");
-  check(lines == bus.events_delivered(), "one JSONL line per delivered event");
+  report.gate("every JSONL line is valid JSON", bad.empty(), bad);
+  report.gate("sink line count matches stream", lines == jsonl_sink.lines());
+  report.gate("one JSONL line per delivered event",
+              lines == bus.events_delivered());
   std::string snapshot = reg.snapshot_json();
-  check(obs::json_valid(snapshot, nullptr), "registry snapshot is valid JSON");
-  check(obs::json_valid(recorder.json(), nullptr),
-        "timeline json is valid JSON");
+  report.gate("registry snapshot is valid JSON",
+              obs::json_valid(snapshot, nullptr));
+  report.gate("timeline json is valid JSON",
+              obs::json_valid(recorder.json(), nullptr));
 
-  // --- 5. artifact --------------------------------------------------------
-  std::string doc = "{\"events\":[";
-  {
-    std::istringstream again(jsonl.str());
-    bool first = true;
-    while (std::getline(again, line)) {
-      if (!first) doc += ",";
-      first = false;
-      doc += line;
-    }
-  }
-  doc += "],\"metrics\":";
-  doc += snapshot;
-  doc += ",\"timeline\":";
-  doc += recorder.json();
-  doc += "}";
-  check(obs::json_valid(doc, nullptr), "combined artifact is valid JSON");
-  std::ofstream out(out_path);
-  out << doc << "\n";
-  check(static_cast<bool>(out), "artifact written to " + out_path);
+  // --- 5. summary ---------------------------------------------------------
+  report.gate("the ring kept every event",
+              ring.total() == ring.events().size());
+  std::map<std::string, size_t> by_type;
+  for (const obs::Event& e : ring.events()) ++by_type[e.type];
+  for (const auto& [type, n] : by_type) report.value("events." + type, n);
+  report.value("events_delivered", bus.events_delivered());
+  report.value("events_retracted", bus.events_retracted());
+  report.raw("metrics", snapshot);
+  report.raw("timeline", recorder.json());
 
   std::printf(
       "%zu events delivered, %zu retracted, %zu JSONL lines validated, "
-      "%zu trap hits\n",
+      "%zu trap hits\nraw trace: %s\n",
       static_cast<size_t>(bus.events_delivered()),
-      static_cast<size_t>(bus.events_retracted()), lines, trap_events);
-  if (failures != 0) {
-    std::printf("\n%d obs contract violation(s)\n", failures);
-    return 1;
-  }
-  std::printf("All obs contract checks passed; artifact: %s\n",
-              out_path.c_str());
-  return 0;
+      static_cast<size_t>(bus.events_retracted()), lines, trap_events,
+      trace_path.c_str());
+  return report.finish();
 }

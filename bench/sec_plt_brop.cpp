@@ -13,13 +13,9 @@
 // denied probes take zero SIGTRAPs, and the service keeps answering.
 #include <cstdio>
 
-#include <algorithm>
 #include <cstdint>
-#include <set>
-#include <span>
 #include <string>
 
-#include "analysis/cfg.hpp"
 #include "analysis/coverage.hpp"
 #include "analysis/gadget.hpp"
 #include "analysis/plt.hpp"
@@ -27,21 +23,11 @@
 #include "apps/miniweb.hpp"
 #include "bench_common.hpp"
 #include "core/dynacut.hpp"
-#include "isa/isa.hpp"
 
 namespace {
 
 using namespace dynacut;
 using bench::run_until;
-
-int g_failures = 0;
-
-void gate(bool ok, const std::string& what) {
-  if (!ok) {
-    std::printf("!! GATE FAILED: %s\n", what.c_str());
-    ++g_failures;
-  }
-}
 
 /// Parks every process of the group in a blocking syscall so a cut cannot
 /// land while an instruction pointer sits mid-call at a feature entry.
@@ -72,7 +58,8 @@ analysis::GadgetStats original_module_gadgets(const os::Os& vos, int victim) {
   return sum;
 }
 
-void study(const std::string& label, std::shared_ptr<const melf::Binary> bin,
+void study(bench::Report& report, const std::string& label,
+           std::shared_ptr<const melf::Binary> bin,
            uint16_t port, const std::string& module, int paper_removed,
            int paper_executed, const std::string& dispatcher,
            const std::vector<std::string>& handlers,
@@ -156,39 +143,7 @@ void study(const std::string& label, std::shared_ptr<const melf::Binary> bin,
 
   core::FeatureSpec spec;
   spec.name = "write-methods";
-  std::set<uint64_t> entries;
-  // The stub planner only redirects calls into *wholly* cut functions, and
-  // it reasons at CFG-block granularity — enumerate each handler's blocks
-  // rather than covering the symbol with one span.
-  analysis::StaticCfg cfg = analysis::recover_cfg(*bin);
-  for (const auto& h : handlers) {
-    const melf::Symbol* sym = bin->find_symbol(h);
-    for (const auto& [boff, blk] : cfg.blocks) {
-      if (boff >= sym->value && boff < sym->value + sym->size) {
-        spec.blocks.push_back(analysis::CovBlock{
-            module, boff, static_cast<uint32_t>(blk.size)});
-      }
-    }
-    entries.insert(sym->value);
-  }
-  // Linear-sweep the dispatcher for call sites targeting a disabled
-  // handler: those blocks join the cut so the stub pass retargets them.
-  const melf::Symbol* disp = bin->find_symbol(dispatcher);
-  const melf::Section* text = bin->section(melf::SectionKind::kText);
-  uint64_t off = disp->value;
-  while (off < disp->value + disp->size) {
-    size_t avail = std::min<size_t>(isa::kMaxInstrLength,
-                                    text->offset + text->size - off);
-    auto ins = isa::try_decode(
-        std::span<const uint8_t>(text->bytes.data() + (off - text->offset),
-                                 avail));
-    if (!ins) break;
-    if (ins->op == isa::Op::kCall && entries.count(ins->target(off))) {
-      spec.blocks.push_back(
-          analysis::CovBlock{module, off, ins->length});
-    }
-    off += ins->length;
-  }
+  spec.blocks = bench::handler_cut(*bin, module, dispatcher, handlers);
   spec.redirect_module = module;
   spec.redirect_offset = bin->find_symbol(err_label)->value;
 
@@ -225,30 +180,33 @@ void study(const std::string& label, std::shared_ptr<const melf::Binary> bin,
       (unsigned long long)pre_stub.gadget_starts,
       (unsigned long long)post_stub.gadget_starts, deny.c_str());
 
-  gate(rep.edits.callsites_stubbed >= 1,
-       label + ": stub cut redirected no callsites");
-  gate(post_stub.gadget_starts <= pre_stub.gadget_starts,
-       label + ": stub cut grew the original-module gadget surface");
-  gate(deny == probe_deny, label + ": stubbed probe not denied (got '" +
-                               deny + "')");
-  gate(traps_delta == 0,
-       label + ": stub-denied probes still took SIGTRAPs");
-  gate(plt_still_dead,
-       label + ": init-wiped fork@plt came back to life under the stub cut");
-  gate(still == got, label + ": service changed after the stub cut");
+  report.gate(module + ".callsite_stubbed", rep.edits.callsites_stubbed >= 1,
+              "the stub cut must redirect a callsite");
+  report.gate(module + ".gadgets_flat",
+              post_stub.gadget_starts <= pre_stub.gadget_starts,
+              "the stub cut must not grow the original-module gadget surface");
+  report.gate(module + ".probe_denied", deny == probe_deny,
+              "the stubbed probe must be denied (got '" + deny + "')");
+  report.gate(module + ".no_sigtraps", traps_delta == 0,
+              "stub-denied probes must take no SIGTRAP");
+  report.gate(module + ".plt_still_dead", plt_still_dead,
+              "the init-wiped fork@plt must stay dead under the stub cut");
+  report.gate(module + ".service_unchanged", still == got,
+              "the service must answer as before after the stub cut");
 }
 
 }  // namespace
 
 int main() {
+  bench::Report report;
   bench::banner(
       "Security case study (paper §4.2): executed-PLT-entry removal after\n"
       "initialization (ret2plt / BROP) and gadget reduction");
 
-  study("Nginx (miniweb)", apps::build_miniweb(), apps::kMiniwebPort,
+  study(report, "Nginx (miniweb)", apps::build_miniweb(), apps::kMiniwebPort,
         "miniweb", 43, 56, "dav_handler", {"do_put", "do_delete"},
         "dav_403", "PUT /f2 y\n", "403 Forbidden\n");
-  study("Lighttpd (minihttpd)", apps::build_minihttpd(),
+  study(report, "Lighttpd (minihttpd)", apps::build_minihttpd(),
         apps::kMinihttpdPort, "minihttpd", 33, 57, "http_dispatch",
         {"serve_put", "serve_delete"}, "http_403", "PUT /f2 y\n",
         "403 Forbidden\n");
@@ -260,6 +218,5 @@ int main() {
       "ret2plt and BROP analysis. The stub-mechanism re-cut keeps the\n"
       "original modules' gadget surface flat, keeps wiped PLT stubs dead,\n"
       "and denies write probes without a single SIGTRAP.\n");
-  if (g_failures) std::printf("\n%d gate(s) FAILED\n", g_failures);
-  return g_failures == 0 ? 0 : 1;
+  return report.finish();
 }

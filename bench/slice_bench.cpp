@@ -17,9 +17,6 @@
 // rule-check wall times, and the per-app observed/slice block counts.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,13 +34,6 @@ namespace {
 using namespace dynacut;
 namespace cutcheck = analysis::cutcheck;
 namespace slicer = analysis::slicer;
-
-int failures = 0;
-
-void check(bool ok, const std::string& what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what.c_str());
-  if (!ok) ++failures;
-}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -104,13 +94,10 @@ GateRow gate(const std::string& name,
              const std::string& module,
              const std::vector<std::string>& undesired_reqs,
              const std::vector<std::string>& wanted_reqs) {
-  bench::ServerPhases undesired =
-      bench::profile_server(bin, port, undesired_reqs);
-  bench::ServerPhases wanted = bench::profile_server(bin, port, wanted_reqs);
-  std::vector<analysis::CovBlock> observed =
-      analysis::feature_diff({undesired.serving_log}, {wanted.serving_log},
-                             module)
-          .blocks();
+  const std::vector<analysis::CovBlock> observed =
+      bench::discover_feature("unwanted", bin, port, module, undesired_reqs,
+                              wanted_reqs)
+          .blocks;
 
   cutcheck::CutPlan plan;
   plan.feature = "unwanted";
@@ -140,10 +127,8 @@ GateRow gate(const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_slice.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
+  bench::Report report("slice", argc, argv);
+  const bench::Clock host = bench::Clock::kHost;
 
   bench::banner(
       "Slicer sweep (indirect resolution + CC001-CC012 over every guest)\n"
@@ -163,11 +148,23 @@ int main(int argc, char** argv) {
     std::printf("%-16s %8zu %6zu %5zu %6zu %7zu %7zu %11.2f %9.2f\n",
                 row.name.c_str(), row.blocks, row.sites, row.plt, row.table,
                 row.direct, row.unresolved, row.analyze_ms, row.check_ms);
+    const std::string key = "guests." + row.name + ".";
+    report.value(key + "blocks", row.blocks);
+    report.value(key + "indirect_sites", row.sites);
+    report.value(key + "plt", row.plt);
+    report.value(key + "table", row.table);
+    report.value(key + "direct", row.direct);
+    report.value(key + "unresolved", row.unresolved);
+    report.value(key + "analyze_ms", row.analyze_ms, host);
+    report.value(key + "rule_check_ms", row.check_ms, host);
+    report.value(key + "cc007_uncut", row.cc007);
     rows.push_back(row);
   }
   for (const auto& row : rows) {
-    check(row.unresolved == 0, row.name + ": all indirect sites resolve");
-    check(row.cc007 == 0, row.name + ": zero CC007 findings uncut");
+    report.gate(row.name + ".indirect_resolved", row.unresolved == 0,
+                "every indirect site must resolve");
+    report.gate(row.name + ".no_cc007_uncut", row.cc007 == 0,
+                "an uncut binary must give no CC007 finding");
   }
 
   std::printf("\n");
@@ -186,47 +183,20 @@ int main(int argc, char** argv) {
     std::printf("%-14s %9zu %7zu %7.2fx %10.2f %9s\n", g.name.c_str(),
                 g.observed, g.slice, g.growth, g.check_ms,
                 g.slice_clean ? "yes" : "NO");
+    const std::string key = "expansion." + g.name + ".";
+    report.value(key + "observed_blocks", g.observed);
+    report.value(key + "slice_blocks", g.slice);
+    report.value(key + "growth", g.growth);
+    report.value(key + "rule_check_ms", g.check_ms, host);
+    report.value(key + "clean", g.slice_clean);
   }
-  std::printf("\n");
   for (const auto& g : gates) {
-    check(g.observed_clean, g.name + ": coverage-only plan verifies clean");
-    check(g.slice_clean, g.name + ": slice-closed plan verifies clean");
-    check(g.growth >= 1.2,
-          g.name + ": slice removes >= 20% more blocks than coverage alone");
+    report.gate(g.name + ".observed_clean", g.observed_clean,
+                "the coverage-only plan must verify clean");
+    report.gate(g.name + ".slice_clean", g.slice_clean,
+                "the slice-closed plan must verify clean");
+    report.gate(g.name + ".slice_growth_20pct", g.growth >= 1.2,
+                "the slice must remove >= 20% more blocks than coverage alone");
   }
-
-  std::ostringstream json;
-  json << "{\n  \"guests\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    json << "    {\"name\": \"" << r.name << "\", \"blocks\": " << r.blocks
-         << ", \"indirect_sites\": " << r.sites << ", \"plt\": " << r.plt
-         << ", \"table\": " << r.table << ", \"direct\": " << r.direct
-         << ", \"unresolved\": " << r.unresolved
-         << ", \"analyze_ms\": " << r.analyze_ms
-         << ", \"rule_check_ms\": " << r.check_ms
-         << ", \"cc007_uncut\": " << r.cc007 << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"expansion\": [\n";
-  for (size_t i = 0; i < gates.size(); ++i) {
-    const GateRow& g = gates[i];
-    json << "    {\"feature\": \"" << g.name
-         << "\", \"observed_blocks\": " << g.observed
-         << ", \"slice_blocks\": " << g.slice << ", \"growth\": " << g.growth
-         << ", \"rule_check_ms\": " << g.check_ms << ", \"clean\": "
-         << (g.slice_clean ? "true" : "false") << "}"
-         << (i + 1 < gates.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"gate_failures\": " << failures << "\n}\n";
-  std::ofstream out(out_path);
-  out << json.str();
-  std::printf("wrote %s\n", out_path.c_str());
-
-  if (failures != 0) {
-    std::printf("\n%d gate check(s) FAILED\n", failures);
-    return 1;
-  }
-  std::printf("\nall gates passed\n");
-  return 0;
+  return report.finish();
 }

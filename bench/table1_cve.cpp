@@ -13,7 +13,6 @@
 // (it must be answered by the error path with all state intact).
 #include <cstdio>
 
-#include "analysis/coverage.hpp"
 #include "apps/minikv.hpp"
 #include "bench_common.hpp"
 #include "core/dynacut.hpp"
@@ -109,18 +108,8 @@ core::FeatureSpec feature_for(const std::string& command,
   } else {  // CONFIG
     undesired_reqs = {"CONFIG SET maxmem 1\n", "PING\n"};
   }
-  bench::ServerPhases undesired = bench::profile_server(
-      bin, apps::kMinikvPort, undesired_reqs);
-  bench::ServerPhases wanted =
-      bench::profile_server(bin, apps::kMinikvPort, wanted_reqs);
-  core::FeatureSpec spec;
-  spec.name = command;
-  spec.blocks = analysis::feature_diff({undesired.serving_log},
-                                       {wanted.serving_log}, "minikv")
-                    .blocks();
-  spec.redirect_module = "minikv";
-  spec.redirect_offset = bin->find_symbol("dispatch_err")->value;
-  return spec;
+  return bench::discover_feature(command, bin, apps::kMinikvPort, "minikv",
+                                 undesired_reqs, wanted_reqs, "dispatch_err");
 }
 
 }  // namespace

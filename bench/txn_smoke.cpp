@@ -6,7 +6,6 @@
 //   txn_smoke              one quick scenario per removal policy
 //   txn_smoke --faults=all the full matrix (every stage × occurrence)
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -90,18 +89,9 @@ constexpr Combo kCombos[] = {
     {RemovalPolicy::kUnmapPages, TrapPolicy::kRedirect, "unmap+redir"},
 };
 
-int failures = 0;
-
-void check(bool ok, const std::string& what) {
-  if (!ok) {
-    std::printf("!! FAIL: %s\n", what.c_str());
-    ++failures;
-  }
-}
-
 /// Runs the (removal, trap) scenario: counts fault points, then (in full
 /// mode) aborts at every one of them and checks rollback + clean retry.
-void run_combo(const Combo& combo, bool all_faults) {
+void run_combo(bench::Report& report, const Combo& combo, bool all_faults) {
   const FeatureSpec spec = matrix_spec();
 
   std::array<size_t, kNumFaultStages> totals{};
@@ -136,28 +126,37 @@ void run_combo(const Combo& combo, bool all_faults) {
       std::string tag = std::string(combo.name) + " @" +
                         fault_stage_name(fstage) + "#" +
                         std::to_string(i);
+      bool threw = false;
       try {
         dc.disable_feature({spec, combo.removal, combo.trap});
-        check(false, tag + ": fault did not abort the customization");
       } catch (const CustomizeError&) {
+        threw = true;
         ++aborted;
       }
+      report.gate(tag + ": aborts", threw,
+                  "the injected fault must abort the customization");
 
       bool identical = !dc.feature_disabled(spec.name);
       for (int p : group) {
         identical = identical && fingerprint(*vos.process(p)) == before[p];
       }
-      check(identical, tag + ": group not rolled back bit-identically");
-      if (identical) ++rolled_back;
+      if (report.gate(tag + ": rolls back", identical,
+                      "the group must roll back bit-identically")) {
+        ++rolled_back;
+      }
 
       dc.set_fault_plan(nullptr);
+      std::string retry_error;
       try {
         dc.disable_feature({spec, combo.removal, combo.trap});
-        check(dc.feature_disabled(spec.name), tag + ": retry not recorded");
         ++retried;
       } catch (const Error& e) {
-        check(false, tag + ": clean retry failed: " + e.what());
+        retry_error = e.what();
       }
+      report.gate(tag + ": clean retry",
+                  retry_error.empty() && dc.feature_disabled(spec.name),
+                  "a clean retry must succeed and be recorded" +
+                      (retry_error.empty() ? "" : ": " + retry_error));
     }
   }
   std::printf("%-12s %8zu %8zu %12zu %8zu\n", combo.name, points, aborted,
@@ -167,23 +166,19 @@ void run_combo(const Combo& combo, bool all_faults) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool all_faults = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--faults=all") == 0) all_faults = true;
-  }
+  const bool all_faults = bench::flag(argc, argv, "--faults") == "all";
+  bench::Report report;
 
   bench::banner(all_faults
                     ? "txn smoke: full fault-injection matrix"
                     : "txn smoke: one fault per stage (use --faults=all)");
   std::printf("%-12s %8s %8s %12s %8s\n", "combo", "faults", "aborted",
               "rolled_back", "retried");
-  for (const auto& combo : kCombos) run_combo(combo, all_faults);
+  for (const auto& combo : kCombos) run_combo(report, combo, all_faults);
 
-  if (failures != 0) {
-    std::printf("\n%d atomicity violation(s)\n", failures);
-    return 1;
+  if (report.failures() == 0) {
+    std::printf("\nAll injected faults rolled back bit-identically; every "
+                "clean retry succeeded.\n");
   }
-  std::printf("\nAll injected faults rolled back bit-identically; every "
-              "clean retry succeeded.\n");
-  return 0;
+  return report.finish();
 }

@@ -48,13 +48,6 @@ std::optional<uint64_t> entry_function(const SliceModel& m) {
 
 }  // namespace
 
-const IndirectSite* SliceModel::site_at_block(uint64_t block) const {
-  auto it = std::lower_bound(
-      indirect.begin(), indirect.end(), block,
-      [](const IndirectSite& s, uint64_t b) { return s.block < b; });
-  return (it != indirect.end() && it->block == block) ? &*it : nullptr;
-}
-
 std::optional<uint64_t> SliceModel::function_of(uint64_t off) const {
   if (bin == nullptr) return std::nullopt;
   const melf::Symbol* fn = bin->symbol_containing(off);

@@ -94,7 +94,6 @@ struct SliceModel {
   /// recovered CFG lacks, so dominator reasoning is suspended there.
   std::set<uint64_t> pinned_functions;
 
-  const IndirectSite* site_at_block(uint64_t block) const;
   /// Entry of the function symbol owning `off`, or nullopt.
   std::optional<uint64_t> function_of(uint64_t off) const;
 };

@@ -80,12 +80,11 @@ class FaultPlan {
     if (plan != nullptr) plan->fire(s);
   }
 
-  /// Occurrences of `s` observed since construction / reset_counts().
+  /// Occurrences of `s` observed since construction.
   size_t count(FaultStage s) const {
     return counts_[static_cast<size_t>(s)];
   }
 
-  void reset_counts() { counts_ = {}; }
   bool armed() const { return armed_; }
 
  private:

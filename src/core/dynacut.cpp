@@ -204,6 +204,18 @@ CustomizeReport DynaCut::disable_feature(const CutRequest& req) {
   if (applied_.count(req.feature.name) != 0) {
     throw StateError("feature already disabled: " + req.feature.name);
   }
+  if (req.trap != TrapPolicy::kTerminate) {
+    for (const auto& [name, feature] : applied_) {
+      if (feature.trap != TrapPolicy::kTerminate && feature.trap != req.trap) {
+        throw StateError(
+            std::string("trap policy ") +
+            analysis::cutcheck::trap_name(req.trap) + " conflicts with '" +
+            name + "', disabled under " +
+            analysis::cutcheck::trap_name(feature.trap) +
+            ": a process has one SIGTRAP handler");
+      }
+    }
+  }
   if (req.trap == TrapPolicy::kVerify &&
       req.removal != RemovalPolicy::kBlockFirstByte) {
     throw StateError("verify mode requires the first-byte removal policy");
@@ -235,14 +247,14 @@ bool DynaCut::feature_disabled(const std::string& name) const {
 std::vector<std::string> DynaCut::disabled_features() const {
   std::vector<std::string> out;
   out.reserve(applied_.size());
-  for (const auto& [name, edits] : applied_) out.push_back(name);
+  for (const auto& [name, feature] : applied_) out.push_back(name);
   return out;
 }
 
 std::string DynaCut::tag_with(const std::string& add,
                               const std::string& remove) const {
   std::set<std::string> names;
-  for (const auto& [name, edits] : applied_) names.insert(name);
+  for (const auto& [name, feature] : applied_) names.insert(name);
   if (!add.empty()) names.insert(add);
   if (!remove.empty()) names.erase(remove);
   std::string tag;
@@ -456,7 +468,8 @@ CustomizeReport DynaCut::apply(const CutRequest& request) {
   // record wholesale would leak the earlier rounds' stashed original bytes
   // and leave the feature only partially restorable.
   auto record = [&] {
-    PerPidEdits& dst = applied_[feature_name];
+    Applied& dst = applied_[feature_name];
+    dst.trap = req.trap;
     const char* policy = analysis::cutcheck::trap_name(req.trap);
     for (auto& [pid, edits] : per_pid) {
       for (const AppliedEdit& e : edits) {
@@ -466,7 +479,7 @@ CustomizeReport DynaCut::apply(const CutRequest& request) {
           trap_sites_[{pid, e.patch.vaddr}] = TrapSite{feature_name, policy};
         }
       }
-      auto& vec = dst[pid];
+      auto& vec = dst.edits[pid];
       vec.insert(vec.end(), std::make_move_iterator(edits.begin()),
                  std::make_move_iterator(edits.end()));
     }
@@ -733,7 +746,7 @@ CustomizeReport DynaCut::restore_feature(const std::string& name) {
   if (it == applied_.end()) {
     throw StateError("feature not disabled: " + name);
   }
-  const PerPidEdits& recorded = it->second;
+  const PerPidEdits& recorded = it->second.edits;
 
   auto undo = [&](int pid, rw::ImageRewriter& rewriter,
                   image::ProcessImage& img, CustomizeReport& report,

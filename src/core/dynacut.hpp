@@ -190,8 +190,6 @@ class DynaCut {
   /// feature/policy attributes; if the bus has no clock yet it is wired to
   /// this OS's virtual clock.
   void set_observer(obs::EventBus* bus, obs::Registry* metrics = nullptr);
-  obs::EventBus* event_bus() const { return bus_; }
-  obs::Registry* metrics() const { return metrics_; }
 
   /// Installs a deterministic fault-injection plan (non-owning; pass
   /// nullptr to clear). Every subsequent customization threads it through
@@ -199,7 +197,6 @@ class DynaCut {
   /// tests/txn_test.cpp uses to prove group-atomicity under every failure
   /// point.
   void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
-  FaultPlan* fault_plan() const { return faults_; }
 
   /// Runs the cutcheck verifier on a request without touching any process —
   /// the same plans and rules disable_feature() uses, exposed for tooling
@@ -212,7 +209,10 @@ class DynaCut {
   /// process is rolled back untouched and CustomizeError is thrown naming
   /// the failing pid and stage. Throws StateError on policy violations
   /// before any process is touched (e.g. kRedirect with no block in the
-  /// error handler's function, kVerify without kBlockFirstByte).
+  /// error handler's function, kVerify without kBlockFirstByte, or a
+  /// kRedirect cut while a kVerify cut is disabled on the group or the
+  /// other way round: a process has one SIGTRAP handler, and each of the
+  /// two handlers finds only its own policy's sites).
   CustomizeReport disable_feature(const CutRequest& req);
 
   /// Re-enables a previously disabled feature (restores bytes, re-maps
@@ -262,7 +262,6 @@ class DynaCut {
 
   /// The tmpfs-like store holding the most recent image of each process.
   image::ImageStore& store() { return store_; }
-  const CostModel& cost_model() const { return model_; }
 
  private:
   struct AppliedEdit {
@@ -274,6 +273,12 @@ class DynaCut {
   };
 
   using PerPidEdits = std::map<int, std::vector<AppliedEdit>>;
+
+  /// A disabled feature: the trap policy it was cut under and its edits.
+  struct Applied {
+    TrapPolicy trap = TrapPolicy::kTerminate;
+    PerPidEdits edits;
+  };
 
   /// What the annotator attaches to a trap at a known customized address.
   struct TrapSite {
@@ -409,7 +414,7 @@ class DynaCut {
   obs::EventBus* bus_ = nullptr;
   obs::Registry* metrics_ = nullptr;
   image::ImageStore store_;
-  std::map<std::string, PerPidEdits> applied_;
+  std::map<std::string, Applied> applied_;
   /// (pid, trap addr) -> planted-by info, for trap.hit annotation.
   std::map<std::pair<int, uint64_t>, TrapSite> trap_sites_;
   /// (pid, stubbed entry addr) -> planted-by info, for stub.hit annotation.

@@ -190,12 +190,6 @@ FunctionBuilder& FunctionBuilder::call(std::string_view func_name) {
   return *this;
 }
 
-FunctionBuilder& FunctionBuilder::jmp_sym(std::string_view func_name) {
-  size_t at = enc_.branch(isa::Op::kJmp, 0);
-  sym_fixups_.push_back({at, SymFixupKind::kJmpRel, std::string(func_name)});
-  return *this;
-}
-
 FunctionBuilder& FunctionBuilder::call_import(std::string_view import_name) {
   owner_->import(std::string(import_name));
   size_t at = enc_.branch(isa::Op::kCall, 0);
@@ -449,8 +443,7 @@ Binary ProgramBuilder::link() {
       uint64_t instr_off = func_off + fix.instr_offset;
       uint64_t target = resolve(fix.symbol);
       switch (fix.kind) {
-        case FunctionBuilder::SymFixupKind::kCallRel:
-        case FunctionBuilder::SymFixupKind::kJmpRel: {
+        case FunctionBuilder::SymFixupKind::kCallRel: {
           int64_t rel = static_cast<int64_t>(target) -
                         static_cast<int64_t>(instr_off + 5);
           write_i32_at(text.bytes, instr_off + 1, static_cast<int32_t>(rel));

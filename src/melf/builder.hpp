@@ -81,8 +81,6 @@ class FunctionBuilder {
   // --- symbolic references --------------------------------------------
   /// Direct call to another function in this module.
   FunctionBuilder& call(std::string_view func_name);
-  /// Tail-jump to another function in this module.
-  FunctionBuilder& jmp_sym(std::string_view func_name);
   /// Call an imported function through its PLT stub (clobbers r11).
   FunctionBuilder& call_import(std::string_view import_name);
   /// rd = address of a symbol in this module (IP-relative, PIC-safe).
@@ -110,7 +108,7 @@ class FunctionBuilder {
     size_t instr_offset;
     std::string label;
   };
-  enum class SymFixupKind { kCallRel, kJmpRel, kLeaRel, kMovAbs };
+  enum class SymFixupKind { kCallRel, kLeaRel, kMovAbs };
   struct SymFixup {
     size_t instr_offset;
     SymFixupKind kind;

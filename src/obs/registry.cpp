@@ -51,11 +51,6 @@ uint64_t Registry::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-double Registry::gauge(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
-}
-
 const Histogram* Registry::find_histogram(const std::string& name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;

@@ -37,7 +37,6 @@ class Registry {
   uint64_t counter(const std::string& name) const;
 
   void set_gauge(const std::string& name, double v) { gauges_[name] = v; }
-  double gauge(const std::string& name) const;
 
   /// The histogram `name`, created empty on first use.
   Histogram& histogram(const std::string& name) { return histograms_[name]; }

@@ -189,11 +189,6 @@ Os::CoreStats Os::core_stats(size_t core) const {
   return CoreStats{c.clock, c.retired, c.steals};
 }
 
-int Os::core_of(int pid) const {
-  const Process* p = process(pid);
-  return p == nullptr ? -1 : static_cast<int>(p->core);
-}
-
 void Os::pin(int pid, size_t core) {
   if (core >= cores_.size()) {
     throw StateError("pin: no core " + std::to_string(core));
@@ -231,10 +226,6 @@ uint64_t Os::min_core_clock() const {
   uint64_t mn = ~0ull;
   for (const auto& c : cores_) mn = std::min(mn, c.clock);
   return mn;
-}
-
-void Os::advance_clock(uint64_t ticks) {
-  for (auto& c : cores_) c.clock += ticks;
 }
 
 void Os::charge_downtime(const std::vector<int>& pids, uint64_t ticks) {

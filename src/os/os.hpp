@@ -93,8 +93,6 @@ class Os {
     uint64_t steals = 0;   ///< pids stolen *into* this core
   };
   CoreStats core_stats(size_t core) const;
-  /// The core `pid` is currently scheduled on (-1 if no such pid).
-  int core_of(int pid) const;
   /// Moves `pid` to `core` (takes effect at the next scheduling round).
   void pin(int pid, size_t core);
   /// Instructions retired machine-wide since construction.
@@ -119,10 +117,6 @@ class Os {
   /// The virtual clock: the executing core's clock during execution (this
   /// is what the event bus stamps), otherwise the furthest core clock.
   uint64_t now() const;
-  /// Charges externally-imposed downtime to every core (a machine-wide
-  /// stall). For freeze-set-scoped downtime use charge_downtime().
-  void advance_clock(uint64_t ticks);
-
   /// Charges DynaCut's rewrite window to exactly the processes that were
   /// frozen: each pid cannot run again before its core clock reaches
   /// now + ticks, while every other process keeps executing. With a single
@@ -188,7 +182,6 @@ class Os {
   /// retires many blocks without surfacing. Tests that pin down pure
   /// interpreter/decode-cache behaviour turn it off explicitly.
   void set_superblocks(bool enabled) { superblocks_ = enabled; }
-  bool superblocks_enabled() const { return superblocks_; }
 
   /// Scheduler quantum in instructions — exposed for accounting tests
   /// (a trap on the quantum boundary must be charged once per attempt).
@@ -217,7 +210,6 @@ class Os {
   /// clock source yet, it is given this OS's virtual clock (per-core during
   /// execution, so event timestamps are core-local).
   void set_event_bus(obs::EventBus* bus);
-  obs::EventBus* event_bus() const { return bus_; }
 
   SyscallCosts& costs() { return costs_; }
 

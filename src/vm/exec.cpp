@@ -137,6 +137,12 @@ void DecodeCache::attach(DecodedPageRegistry& registry) {
   clear();
 }
 
+size_t DecodeCache::cached_pages() const {
+  size_t n = 0;
+  for (const auto& [addr, e] : pages_) n += e.page != nullptr ? 1 : 0;
+  return n;
+}
+
 void DecodeCache::clear() {
   pages_.clear();
   last_page_ = ~0ull;
@@ -171,17 +177,18 @@ DecodeCache::PageEntry* DecodeCache::entry_for(const AddressSpace& mem,
     bind(mem, page_addr, *e);
     ++invalidations_;
   }
-  return e;
+  return e->page != nullptr ? e : nullptr;
 }
 
 void DecodeCache::bind(const AddressSpace& mem, uint64_t page_addr,
                        PageEntry& e) {
   e.gen = *e.live_gen;
   const Vma* v = mem.vma_at(page_addr);
-  // Sharing needs an executable mapping: a sibling's slots were decoded
-  // under one, and a hit skips the fetch's protection check.
-  if (registry_ != nullptr && v != nullptr && (v->prot & kProtExec) != 0 &&
-      mem.page_live(page_addr)) {
+  if (v == nullptr || (v->prot & kProtExec) == 0) {
+    e.page.reset();  // every fetch here faults: nothing to decode
+  } else if (registry_ != nullptr && mem.page_live(page_addr)) {
+    // Sharing needs an executable mapping: a sibling's slots were decoded
+    // under one, and a hit skips the fetch's protection check.
     e.page = registry_->attach(mem.page_bytes(page_addr));
   } else {
     e.page.reset(new DecodedPage);
@@ -200,13 +207,14 @@ StepResult DecodeCache::fetch(AddressSpace& mem, uint64_t ip,
   sync(mem);
   const uint64_t page = page_floor(ip);
   const uint64_t off = ip - page;
-  if (off + isa::kMaxInstrLength > kPageSize) {
-    // Possible page-straddler: serve uncached (its decode would also depend
-    // on the next page's generation).
+  PageEntry* e = off + isa::kMaxInstrLength <= kPageSize ? entry_for(mem, page)
+                                                         : nullptr;
+  if (e == nullptr) {
+    // A possible page-straddler (its decode would also depend on the next
+    // page's generation) or a page with no executable mapping: uncached.
     ++misses_;
     return vm::fetch(mem, ip, out);
   }
-  PageEntry* e = entry_for(mem, page);
   Slot& s = e->page->slots[off];
   if (s.state == kUnknown) {
     ++misses_;
@@ -287,9 +295,9 @@ StepResult DecodeCache::run(AddressSpace& mem, Cpu& cpu, uint64_t max_instr,
     }
     if (stop || n >= max_instr) break;
     if (n == n_at_entry) {  // fast path made no progress this round
-      // Page-edge instruction, non-executable fetch, or a generation bump
-      // raced the entry lookup: take the generic single-step path so the
-      // loop always advances.
+      // Page-edge instruction, non-executable page or fetch, or a
+      // generation bump raced the entry lookup: take the generic
+      // single-step path so the loop always advances.
       r = step(mem, cpu, this);
       ++n;
       if (r.kind != StepKind::kOk || r.block_end || n >= max_instr) break;

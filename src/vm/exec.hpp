@@ -137,10 +137,12 @@ class DecodedPageRegistry {
 ///     process memory was rebuilt, e.g. by checkpoint restore;
 ///   * instructions that could straddle a page boundary (offset within
 ///     kMaxInstrLength of the page end) are never cached;
+///   * a page with no executable VMA binds no decoded page (every fetch
+///     from it faults), so its fetches take the uncached path;
 ///   * with a registry, an entry binds the registry's page for its content
 ///     only while the page is populated and its VMA executable; any other
-///     page gets a private array. A shared slot holds the decode of the
-///     snapshot's bytes, which equal this process's bytes until its
+///     executable page gets a private array. A shared slot holds the decode
+///     of the snapshot's bytes, which equal this process's bytes until its
 ///     generation moves, and only executable mappings reach it.
 class DecodeCache {
  public:
@@ -164,7 +166,8 @@ class DecodeCache {
   uint64_t misses() const { return misses_; }
   /// Entries rebound because their page's generation moved.
   uint64_t invalidations() const { return invalidations_; }
-  size_t cached_pages() const { return pages_.size(); }
+  /// Entries holding a decoded page (a non-executable page holds none).
+  size_t cached_pages() const;
 
  private:
   friend StepResult step(AddressSpace&, Cpu&, DecodeCache*);
@@ -186,12 +189,12 @@ class DecodeCache {
   void sync(const AddressSpace& mem);
 
   /// Returns the validated entry for a page, (re)bound if it is new or its
-  /// generation moved.
+  /// generation moved; nullptr if the page has no decoded page to serve.
   PageEntry* entry_for(const AddressSpace& mem, uint64_t page_addr);
 
-  /// Binds `e` to the page's current generation and content: the
-  /// registry's page when the page is populated and executable, else a
-  /// new private one.
+  /// Binds `e` to the page's current generation and content: no page when
+  /// the page is not mapped executable, the registry's page when it is
+  /// populated, else a new private one.
   void bind(const AddressSpace& mem, uint64_t page_addr, PageEntry& e);
 
   /// Decodes the instruction at `ip` into `s`. False if the bytes are not

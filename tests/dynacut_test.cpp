@@ -192,6 +192,34 @@ TEST(DynaCut, DoubleDisableThrows) {
                StateError);
 }
 
+TEST(DynaCut, SecondTrapHandlerPolicyOnGroupThrows) {
+  // A process has one SIGTRAP handler, and the redirect and verify handlers
+  // each find only their own policy's sites: a kRedirect and a kVerify cut
+  // cannot share a group, in either order.
+  for (bool redirect_first : {true, false}) {
+    Pipeline px;
+    FeatureSpec heal;
+    heal.name = "A_overremoved";
+    heal.blocks = {
+        CovBlock{"toysrv", px.bin->find_symbol("handle_a")->value, 1}};
+    const CutRequest redirect{px.feature_b, RemovalPolicy::kBlockFirstByte,
+                              TrapPolicy::kRedirect};
+    const CutRequest verify{heal, RemovalPolicy::kBlockFirstByte,
+                            TrapPolicy::kVerify};
+    DynaCut dc(px.vos, px.pid);
+    dc.disable_feature(redirect_first ? redirect : verify);
+    EXPECT_THROW(dc.disable_feature(redirect_first ? verify : redirect),
+                 StateError);
+    EXPECT_EQ(dc.disabled_features().size(), 1u);
+
+    // The first cut still answers as before.
+    EXPECT_EQ(px.request(redirect_first ? "B\n" : "A\n"),
+              redirect_first ? "err\n" : "alpha\n");
+    EXPECT_EQ(px.request("A\n"), "alpha\n");
+    EXPECT_EQ(px.vos.process(px.pid)->term_signal, 0);
+  }
+}
+
 TEST(DynaCut, RestoreUnknownFeatureThrows) {
   Pipeline px;
   DynaCut dc(px.vos, px.pid);

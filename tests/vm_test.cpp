@@ -1545,6 +1545,8 @@ TEST(SharedDecode, NonExecutableTwinStillFaults) {
     EXPECT_EQ(r.fault_addr, 0x1000u);
   }
   EXPECT_EQ(data.cpu.regs[1], 0u);
+  // Every fetch from that page faults, so it holds no decoded page.
+  EXPECT_EQ(dd.cached_pages(), 0u);
 
   // Made executable, the same bytes run on the sibling's decode.
   data.mem.protect(0x1000, 0x1000, kProtRead | kProtExec);
